@@ -1,0 +1,93 @@
+"""Golden traces: the byte-exact behaviour gate for refactors.
+
+``tests/golden/`` holds, for every ``corpus/*.json``, the ``run --trace``
+JSON in both regimes and the ``opt --trace`` JSON, plus request-regime
+runs of a few seeded instances at benchmark sizes (stored under
+``tests/golden/instances/`` so the gate does not depend on the
+generator).  ``tests/test_golden.py`` compares every file byte for byte.
+
+Regenerate only on purpose, and say why in CHANGES.md:
+
+    PYTHONPATH=src python tests/golden_traces.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from metricserve import cli
+from metricserve.instance import generate, serialize_instance
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INSTANCES = GOLDEN / "instances"
+
+# (mode, n_points, n_requests, seed): the request-regime benchmark sizes
+SEEDED = [
+    ("deadline", 40, 60, 11),
+    ("deadline", 40, 60, 12),
+    ("deadline", 40, 60, 13),
+    ("delay", 20, 24, 21),
+    ("delay", 20, 24, 22),
+    ("delay", 20, 24, 23),
+]
+
+# command name -> extra CLI arguments
+COMMANDS = {
+    "run": ["run"],
+    "run-request-regime": ["run", "--request-regime"],
+    "opt": ["opt"],
+}
+
+
+def seeded_name(mode: str, n: int, m: int, seed: int) -> str:
+    return f"{mode}-n{n}-m{m}-s{seed}"
+
+
+def cases() -> list[tuple[str, Path]]:
+    """(command, instance path) of every golden file."""
+    out = [(cmd, p) for p in sorted(CORPUS.glob("*.json")) for cmd in COMMANDS]
+    out += [
+        ("run-request-regime", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED
+    ]
+    return out
+
+
+def golden_path(command: str, instance: Path) -> Path:
+    return GOLDEN / command / instance.name
+
+
+def render(command: str, instance: Path) -> str:
+    """The trace JSON the CLI writes for ``command`` on ``instance``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "trace.json"
+        argv = [*COMMANDS[command], "--instance", str(instance), "--trace", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
+        return out.read_text()
+
+
+def main() -> int:
+    INSTANCES.mkdir(parents=True, exist_ok=True)
+    for mode, n, m, seed in SEEDED:
+        inst = generate(seed=seed, n_points=n, n_requests=m, mode=mode)
+        (INSTANCES / f"{seeded_name(mode, n, m, seed)}.json").write_text(
+            serialize_instance(inst)
+        )
+    for command, instance in cases():
+        path = golden_path(command, instance)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(render(command, instance))
+    print(f"wrote {len(cases())} golden traces under {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
