@@ -2,8 +2,6 @@
 
 Every command prints a JSON summary on standard output.  Exit codes:
 0 success, 1 structural-check failure (verify), 2 usage or input error.
-The environment variable METRIC_SERVE_EPS overrides the shared numeric
-tolerance (default 1e-9).
 """
 
 from __future__ import annotations
@@ -258,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config.refresh_from_env()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,37 +1,13 @@
 """Shared numeric tolerances.
 
 All boundary comparisons in the package (ball membership, budget
-thresholds, event-time bisection) go through the single knob below so
-that runs are reproducible and tunable from one place.  The environment
-variable ``METRIC_SERVE_EPS`` overrides the default of 1e-9.
+thresholds, event-time bisection) use one absolute tolerance, 1e-9,
+named below by what it compares.
 """
 
-import os
-
-_DEFAULT_EPS = 1e-9
-
-
-def _read_env() -> float:
-    raw = os.environ.get("METRIC_SERVE_EPS")
-    if raw is None:
-        return _DEFAULT_EPS
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"METRIC_SERVE_EPS must be positive, got {raw!r}")
-    return value
-
-
 #: Absolute tolerance for geometric comparisons (distances, measures).
-EPS_GEO = _read_env()
+EPS_GEO = 1e-9
 #: Absolute tolerance for value comparisons (delay, budgets, counters).
 EPS_VAL = EPS_GEO
 #: Absolute tolerance for event times (bisection stopping, tie detection).
 EPS_TIME = EPS_GEO
-
-
-def refresh_from_env() -> None:
-    """Re-read METRIC_SERVE_EPS; used by the CLI entry point."""
-    global EPS_GEO, EPS_VAL, EPS_TIME
-    EPS_GEO = _read_env()
-    EPS_VAL = EPS_GEO
-    EPS_TIME = EPS_GEO

@@ -14,6 +14,11 @@ The walk rule fixes what the tour leaves open: start -> trigger, DFS of
 the tree from the trigger with children by ascending node id, back to
 the trigger, back to the start, then the optional relocation hop.
 
+Under the request regime the Steiner trees are grown in the metric
+closure over released points (revealed request points plus the start),
+so tree hops join released points only; the closure is rebuilt only when
+a reveal adds a point.
+
 The engine object only ever sees requests that have been revealed to it;
 the runner feeds releases in time order, so decisions cannot depend on
 the future.
@@ -104,8 +109,9 @@ class DeadlineEngine:
     def __init__(self, m: MetricSpace, start: int, request_regime: bool = False):
         self.m = m
         self.position = start
-        self.initial_position = start
         self.request_regime = request_regime
+        self.released = {start}  # points of revealed requests, plus the start
+        self._space: MetricSpace | None = None
         self.level_floor = min_level(m)
         self.levels: dict[int, Level] = {}
         self.requests: dict[int, DeadlineRequest] = {}
@@ -120,6 +126,9 @@ class DeadlineEngine:
         self.requests[q.id] = q
         self.levels[q.id] = BOTTOM
         self.pending.add(q.id)
+        if q.point not in self.released:
+            self.released.add(q.point)
+            self._space = None
 
     def adjusted_level_of(self, qid: int) -> Level:
         q = self.requests[qid]
@@ -142,17 +151,16 @@ class DeadlineEngine:
         eligible.sort(key=lambda rid: (self.requests[rid].deadline, rid))
         assert eligible and eligible[0] == qid
 
+        space = self.space()
         chosen: list[int] = []
-        tree_edges: frozenset[tuple[int, int]] = frozenset()
         for rid in eligible:
             chosen.append(rid)
-            cost, tree_edges = self._steiner_over(
-                {self.requests[r].point for r in chosen}
-            )
-            if cost >= budget - config.EPS_VAL:
+            tree = steiner_approx(space, {space.index[self.requests[r].point] for r in chosen})
+            if tree.cost >= budget - config.EPS_VAL:
                 break
 
-        tour = tree_dfs_nodes(tree_edges, trigger.point)
+        pts = space.points
+        tour = tree_dfs_nodes([(pts[u], pts[v]) for u, v in tree.tree_edges], trigger.point)
         hops = [a] + tour + [a]
         if primary:
             hops.append(trigger.point)
@@ -186,25 +194,15 @@ class DeadlineEngine:
         self.records.append(record)
         return record
 
-    # -- internals ------------------------------------------------------------
-
-    def _steiner_over(self, points: set[int]):
-        """Steiner tree over the points; under the request regime the tree is
-        computed in the submetric induced by released points (plus the
-        server's initial location) and returned as point-pair hops."""
-        if not self.request_regime:
-            sol = steiner_approx(self.m, points)
-            return sol.cost, sol.tree_edges
-        released = {self.requests[r].point for r in self.requests}
-        released.add(self.initial_position)
-        sub_g, pts = complete_graph_on(self.m, sorted(released))
-        sub_m = build_metric(sub_g)
-        index = {p: i for i, p in enumerate(pts)}
-        sol = steiner_approx(sub_m, {index[p] for p in points})
-        edges = frozenset(
-            (min(pts[i], pts[j]), max(pts[i], pts[j])) for i, j in sol.tree_edges
-        )
-        return sol.cost, edges
+    def space(self) -> MetricSpace:
+        """The metric the Steiner trees are grown in: the graph metric, or
+        under the request regime the closure over released points, built
+        once per released set."""
+        if self._space is None:
+            self._space = (
+                complete_graph_on(self.m, self.released) if self.request_regime else self.m
+            )
+        return self._space
 
 
 def run_deadline(inst: Instance, request_regime: bool = False) -> DeadlineTrace:

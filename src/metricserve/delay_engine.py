@@ -32,6 +32,10 @@ Between releases, breakpoints, and counter crossings every total
 residual is linear in time, so crossings are solved exactly; the
 forwarding-time search scans breakpoints and bisects inside the first
 crossing segment.
+
+Under the request regime the prize-collecting trees and the relocation
+centers come from the metric closure over released points (revealed
+request points plus the start), rebuilt only when a reveal adds a point.
 """
 
 from __future__ import annotations
@@ -145,8 +149,9 @@ class DelayEngine:
     def __init__(self, m: MetricSpace, start: int, request_regime: bool = False):
         self.m = m
         self.position = start
-        self.initial_position = start
         self.request_regime = request_regime
+        self.released = {start}  # points of revealed requests, plus the start
+        self._space: MetricSpace | None = None
         self.level_floor = min_level(m)
         self.requests: dict[int, DelayRequest] = {}
         self.levels: dict[int, Level] = {}
@@ -163,6 +168,9 @@ class DelayEngine:
         self.levels[q.id] = BOTTOM
         self.counters[q.id] = 0.0
         self.pending.add(q.id)
+        if q.point not in self.released:
+            self.released.add(q.point)
+            self._space = None
 
     def residual(self, qid: int, t: float) -> float:
         y = self.requests[qid].delay.value(t)
@@ -286,6 +294,7 @@ class DelayEngine:
             for qid in triggers
         )
 
+        space = self.space()
         relocation = None
         if primary:
             ball_r = 2.0 ** (service_level - 8)
@@ -297,7 +306,7 @@ class DelayEngine:
             # relocations.
             min_dist = 2.0 ** (service_level - 5) - 2.0 ** (service_level - 8)
             best_mass = need
-            for v in self._relocation_candidates():
+            for v in space.points:
                 if self.m.distance(a, v) < min_dist - config.EPS_GEO:
                     continue
                 mass = math.fsum(
@@ -323,10 +332,9 @@ class DelayEngine:
                 counter_increments[qid] = counter_increments.get(qid, 0.0) + inc
                 reset_increment += inc
 
-        tau, solution, sub_points = self._forwarding_time(eligible, a, budget, t)
-        served_points = set(solution.served)
-        if sub_points is not None:
-            served_points = {sub_points[i] for i in served_points}
+        tau, solution = self._forwarding_time(space, eligible, a, budget, t)
+        pts = space.points
+        served_points = {pts[i] for i in solution.served}
         served = [qid for qid in eligible if self.requests[qid].point in served_points]
 
         invest_increment = 0.0
@@ -341,13 +349,7 @@ class DelayEngine:
                 invest_increment += inc
             self.levels[qid] = service_level + 1
 
-        tree_edges = solution.tree_edges
-        if sub_points is not None:
-            tree_edges = frozenset(
-                (min(sub_points[i], sub_points[j]), max(sub_points[i], sub_points[j]))
-                for i, j in tree_edges
-            )
-        tour = tree_dfs_nodes(tree_edges, a)
+        tour = tree_dfs_nodes([(pts[u], pts[v]) for u, v in solution.tree_edges], a)
         hops = list(tour)
         if relocation is not None:
             hops.append(relocation)
@@ -388,54 +390,42 @@ class DelayEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _relocation_candidates(self) -> list[int]:
-        if not self.request_regime:
-            return list(range(self.m.n))
-        released = {self.requests[qid].point for qid in self.requests}
-        released.add(self.initial_position)
-        return sorted(released)
+    def space(self) -> MetricSpace:
+        """The metric prize-collecting trees and relocation centers come from:
+        the graph metric, or under the request regime the closure over
+        released points, built once per released set."""
+        if self._space is None:
+            self._space = (
+                complete_graph_on(self.m, self.released) if self.request_regime else self.m
+            )
+        return self._space
 
-    def _pcst_space(self, root: int):
-        """Metric, root, and point mapping the prize-collecting call runs on."""
-        if not self.request_regime:
-            return self.m, root, None
-        released = {self.requests[qid].point for qid in self.requests}
-        released.add(self.initial_position)
-        sub_g, pts = complete_graph_on(self.m, sorted(released))
-        sub_m = build_metric(sub_g)
-        index = {p: i for i, p in enumerate(pts)}
-        return sub_m, index[root], pts
-
-    def _forwarding_time(self, eligible: list[int], root: int, budget: float, t: float):
+    def _forwarding_time(
+        self, space: MetricSpace, eligible: list[int], root: int, budget: float, t: float
+    ):
         """First t' >= t at which the prize-collecting cost reaches the budget.
 
-        Returns (tau, solution, sub_points); ``tau`` is ``inf`` when no
-        crossing exists, in which case the solution serves all eligible
-        points.  ``sub_points`` maps submetric indices back to graph points
-        under the request regime (None otherwise).
+        Returns (tau, solution), the solution in the node ids of ``space``;
+        ``tau`` is ``inf`` when no crossing exists, in which case the
+        solution serves all eligible points.
         """
-        space, space_root, pts = self._pcst_space(root)
-        index = {p: i for i, p in enumerate(pts)} if pts is not None else None
-
-        by_point: dict[int, list[int]] = {}
+        by_node: dict[int, list[int]] = {}
         for qid in eligible:
-            by_point.setdefault(self.requests[qid].point, []).append(qid)
-        terminals = {
-            index[p] if index is not None else p for p in by_point
-        }
+            by_node.setdefault(space.index[self.requests[qid].point], []).append(qid)
+        root = space.index[root]
 
         def evaluate(t_prime: float) -> PcstSolution:
-            penalties = {}
-            for p, qids in by_point.items():
-                pen = math.fsum(
+            penalties = {
+                node: math.fsum(
                     max(0.0, self.requests[qid].delay.value(t_prime) - self.counters[qid])
                     for qid in qids
                 )
-                penalties[index[p] if index is not None else p] = pen
-            return pcst_approx(space, terminals, penalties, space_root)
+                for node, qids in by_node.items()
+            }
+            return pcst_approx(space, set(by_node), penalties, root)
 
         if not eligible:
-            return t, evaluate(t), pts
+            return t, evaluate(t)
 
         w_total = space.total_weight()
         t_big = max(
@@ -460,7 +450,7 @@ class DelayEngine:
 
         sol = evaluate(t)
         if sol.total_cost >= budget - config.EPS_VAL:
-            return t, sol, pts
+            return t, sol
         lo = t
         crossed = None
         for p in probes:
@@ -471,10 +461,10 @@ class DelayEngine:
             lo = p
         if crossed is None:
             final = evaluate(t_big)
-            assert {self.requests[qid].point for qid in eligible} <= (
-                {pts[i] for i in final.served} if pts is not None else set(final.served)
-            ), "past the probe horizon an unserved terminal forces a crossing"
-            return math.inf, final, pts
+            assert set(by_node) <= final.served, (
+                "past the probe horizon an unserved terminal forces a crossing"
+            )
+            return math.inf, final
         hi = crossed
         while hi - lo > config.EPS_TIME:
             mid = 0.5 * (lo + hi)
@@ -482,7 +472,7 @@ class DelayEngine:
                 hi = mid
             else:
                 lo = mid
-        return hi, evaluate(hi), pts
+        return hi, evaluate(hi)
 
 
 def run_delay(

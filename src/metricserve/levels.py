@@ -30,14 +30,13 @@ def level_max(a: Level, b: Level) -> Level:
     return b if level_le(a, b) else a
 
 
-def ceil_log2(x: float, eps: float | None = None) -> int:
+def ceil_log2(x: float) -> int:
     """Smallest integer k with 2**k >= x, robust to eps-sized noise.
 
     Requires x > 0.  A value within eps below an exact power of two is
     treated as that power (so ceil_log2(4 + 1e-15) == 2).
     """
-    if eps is None:
-        eps = config.EPS_GEO
+    eps = config.EPS_GEO
     if x <= 0:
         raise ValueError(f"ceil_log2 requires a positive argument, got {x}")
     k = math.ceil(math.log2(x))
@@ -48,10 +47,9 @@ def ceil_log2(x: float, eps: float | None = None) -> int:
     return k
 
 
-def floor_log2(x: float, eps: float | None = None) -> int:
+def floor_log2(x: float) -> int:
     """Largest integer k with 2**k <= x, robust to eps-sized noise."""
-    if eps is None:
-        eps = config.EPS_GEO
+    eps = config.EPS_GEO
     if x <= 0:
         raise ValueError(f"floor_log2 requires a positive argument, got {x}")
     k = math.floor(math.log2(x))
@@ -62,18 +60,16 @@ def floor_log2(x: float, eps: float | None = None) -> int:
     return k
 
 
-def distance_level(dist: float, eps: float | None = None) -> Level:
+def distance_level(dist: float) -> Level:
     """The distance term of an adjusted level: ceil(log2 dist), BOTTOM at 0."""
-    if eps is None:
-        eps = config.EPS_GEO
-    if dist <= eps:
+    if dist <= config.EPS_GEO:
         return BOTTOM
-    return ceil_log2(dist, eps)
+    return ceil_log2(dist)
 
 
-def adjusted_level(level: Level, dist: float, eps: float | None = None) -> Level:
+def adjusted_level(level: Level, dist: float) -> Level:
     """max(level, ceil(log2 dist)) with the zero-distance degenerate rule."""
-    return level_max(level, distance_level(dist, eps))
+    return level_max(level, distance_level(dist))
 
 
 def clamp_bottom(level: Level, floor: int) -> int:

@@ -24,7 +24,8 @@ the construction: each edge loses at most ``2 r / rho`` to holes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -111,14 +112,24 @@ Shape = Ball | PerforatedBall
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """Immutable all-pairs shortest-path metric over a weighted graph."""
+    """Immutable all-pairs shortest-path metric over a weighted graph.
+
+    Node i stands for point ``points[i]`` of the metric the space was
+    restricted from; a graph metric maps every node to itself.
+    """
 
     n: int
     dist: np.ndarray
     d_min: float
     source_graph: WeightedGraph
+    points: tuple[int, ...]
     _adj: dict[int, list[tuple[int, float]]] = field(repr=False, default_factory=dict)
     _edge_weight: dict[tuple[int, int], float] = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Point id -> node id, the inverse of ``points``."""
+        return {p: i for i, p in enumerate(self.points)}
 
     def distance(self, u: int, v: int) -> float:
         return float(self.dist[u, v])
@@ -190,7 +201,13 @@ def build_metric(g: WeightedGraph) -> MetricSpace:
     d_min = float(positive.min()) if positive.size else 1.0
     dist.setflags(write=False)
     return MetricSpace(
-        n=n, dist=dist, d_min=d_min, source_graph=g, _adj=adj, _edge_weight=edge_weight
+        n=n,
+        dist=dist,
+        d_min=d_min,
+        source_graph=g,
+        points=tuple(range(n)),
+        _adj=adj,
+        _edge_weight=edge_weight,
     )
 
 
@@ -322,17 +339,18 @@ def shapes_edge_disjoint(m: MetricSpace, a: Shape, b: Shape) -> bool:
     return True
 
 
-def complete_graph_on(m: MetricSpace, points: list[int]) -> tuple[WeightedGraph, list[int]]:
-    """Metric closure over a subset of points.
+def complete_graph_on(m: MetricSpace, points) -> MetricSpace:
+    """Metric closure over a subset of m's points.
 
-    Returns the complete graph whose node i stands for ``points[i]`` with
-    weights taken from m, plus the (sorted) point list for index mapping.
-    Used by the request-regime variants, which restrict tree computations
-    to released points.
+    The complete graph over the sorted points, weighted by m's distances,
+    run through ``build_metric``; its node i stands for the i-th point.
+    The request regime restricts tree computations to released points
+    this way.
     """
     pts = sorted(set(points))
     edges = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             edges.append((i, j, m.distance(pts[i], pts[j])))
-    return WeightedGraph(node_count=len(pts), edges=tuple(edges)), pts
+    closure = build_metric(WeightedGraph(node_count=len(pts), edges=tuple(edges)))
+    return replace(closure, points=tuple(pts))

@@ -371,37 +371,36 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
             surplus[c] = 0.0
             active[c] = False
 
-    # tree component containing the root
+    # strong pruning over the forest tree containing the root: keep a child
+    # subtree only when the penalty mass it rescues strictly exceeds the
+    # cost of the edge reaching it.  Post-order over an explicit stack of
+    # [node, parent, remaining children, benefit], children by ascending id.
     adj: dict[int, list[int]] = {}
     for u, v in forest:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    component: set[int] = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, []):
-            if v not in component:
-                component.add(v)
-                stack.append(v)
 
-    # strong pruning: keep a child subtree only when the penalty mass it
-    # rescues strictly exceeds the cost of the edge reaching it
-    kept: set[tuple[int, int]] = set()
-
-    def benefit(u: int, par: int) -> float:
+    def open_frame(u: int, par: int) -> list:
         b = penalties.get(u, 0.0) if u in terminals else 0.0
-        for v in sorted(adj.get(u, [])):
-            if v == par or v not in component:
-                continue
-            sub = benefit(v, u)
-            w = m.edge_weight(u, v)
-            if sub > w + eps:
-                kept.add((min(u, v), max(u, v)))
-                b += sub - w
-        return b
+        return [u, par, iter(sorted(adj.get(u, []))), b]
 
-    benefit(root, -1)
+    kept: set[tuple[int, int]] = set()
+    stack = [open_frame(root, -1)]
+    while stack:
+        frame = stack[-1]
+        u, par, children, _ = frame
+        for v in children:
+            if v != par:
+                stack.append(open_frame(v, u))
+                break
+        else:
+            stack.pop()
+            if stack:
+                up = stack[-1]
+                w = m.edge_weight(up[0], u)
+                if frame[3] > w + eps:
+                    kept.add((min(up[0], u), max(up[0], u)))
+                    up[3] += frame[3] - w
     tree_nodes = {root}
     changed = True
     while changed:

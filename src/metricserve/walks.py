@@ -32,16 +32,19 @@ def tree_dfs_nodes(edges, start: int) -> list[int]:
     if start not in adj:
         return [start]
     tour = [start]
-
-    def visit(u: int, parent: int) -> None:
-        for v in adj[u]:
-            if v == parent:
-                continue
-            tour.append(v)
-            visit(v, u)
-            tour.append(u)
-
-    visit(start, -1)
+    # explicit stack of (node, parent, remaining children): no recursion limit
+    stack = [(start, -1, iter(adj[start]))]
+    while stack:
+        u, parent, children = stack[-1]
+        for v in children:
+            if v != parent:
+                tour.append(v)
+                stack.append((v, u, iter(adj[v])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                tour.append(stack[-1][0])
     return tour
 
 

@@ -238,3 +238,25 @@ def test_trace_json_stable():
 
     doc = json.loads(a)
     assert set(doc) == {"mode", "total_cost", "final_position", "services", "requests"}
+
+
+def test_request_regime_builds_one_closure_per_released_set(monkeypatch):
+    import metricserve.deadline_engine as engine_module
+    from golden_traces import INSTANCES, golden_path
+    from metricserve.instance import parse_instance
+    from metricserve.metric import complete_graph_on
+
+    built = []
+
+    def counting(m, points):
+        built.append(frozenset(points))
+        return complete_graph_on(m, points)
+
+    monkeypatch.setattr(engine_module, "complete_graph_on", counting)
+    for path in sorted(INSTANCES.glob("deadline-*.json")):
+        built.clear()
+        inst = parse_instance(path.read_text())
+        trace = run_deadline(inst, request_regime=True)
+        assert built and len(built) == len(set(built))
+        assert len(built) <= len({q.point for q in inst.requests} | {inst.server_start})
+        assert trace.to_json() == golden_path("run-request-regime", path).read_text()

@@ -297,3 +297,25 @@ def test_trace_json_roundtrip_stable():
     a = run_delay(inst).to_json()
     b = run_delay(inst).to_json()
     assert a == b
+
+
+def test_request_regime_builds_one_closure_per_released_set(monkeypatch):
+    import metricserve.delay_engine as engine_module
+    from golden_traces import INSTANCES, golden_path
+    from metricserve.instance import parse_instance
+    from metricserve.metric import complete_graph_on
+
+    built = []
+
+    def counting(m, points):
+        built.append(frozenset(points))
+        return complete_graph_on(m, points)
+
+    monkeypatch.setattr(engine_module, "complete_graph_on", counting)
+    for path in sorted(INSTANCES.glob("delay-*.json")):
+        built.clear()
+        inst = parse_instance(path.read_text())
+        trace = run_delay(inst, request_regime=True)
+        assert built and len(built) == len(set(built))
+        assert len(built) <= len({q.point for q in inst.requests} | {inst.server_start})
+        assert trace.to_json() == golden_path("run-request-regime", path).read_text()

@@ -225,9 +225,11 @@ def test_complete_graph_on_subset():
     rng = random.Random(97)
     g = random_graph(rng, 8, extra_edges=5)
     m = build_metric(g)
-    sub_g, pts = complete_graph_on(m, [5, 2, 7])
-    sub_m = build_metric(sub_g)
-    assert pts == [2, 5, 7]
-    for i, p in enumerate(pts):
-        for j, q in enumerate(pts):
+    sub_m = complete_graph_on(m, [5, 2, 7, 5])
+    assert sub_m.points == (2, 5, 7)
+    assert sub_m.index == {2: 0, 5: 1, 7: 2}
+    assert m.points == tuple(range(8))
+    assert len(sub_m.edges) == 3
+    for i, p in enumerate(sub_m.points):
+        for j, q in enumerate(sub_m.points):
             assert sub_m.distance(i, j) == pytest.approx(m.distance(p, q))

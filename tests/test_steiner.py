@@ -203,3 +203,27 @@ def test_pcst_terminal_at_root(path_metric):
     sol = pcst_approx(path_metric, {0, 2}, {0: 5.0, 2: 0.0}, root=0)
     assert 0 in sol.served
     assert sol.penalty_cost == pytest.approx(0.0)
+
+
+def test_pcst_approx_deep_tree_under_low_recursion_limit():
+    """Strong pruning walks a 300-edge path with 100 frames of headroom."""
+    import inspect
+    import sys
+
+    from metricserve.metric import WeightedGraph
+
+    n = 301
+    path = tuple((i, i + 1, 1.0) for i in range(n - 1))
+    m = build_metric(WeightedGraph(node_count=n, edges=path))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        far = pcst_approx(m, {n - 1}, {n - 1: 400.0}, root=0)
+        cheap = pcst_approx(m, {n - 1}, {n - 1: 200.0}, root=0)
+    finally:
+        sys.setrecursionlimit(old)
+    assert far.served == {n - 1}
+    assert far.tree_edges == {(i, i + 1) for i in range(n - 1)}
+    assert far.total_cost == pytest.approx(n - 1)
+    assert cheap.served == frozenset() and cheap.tree_edges == frozenset()
+    assert cheap.total_cost == pytest.approx(200.0)
