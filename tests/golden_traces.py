@@ -1,10 +1,12 @@
 """Golden traces: the byte-exact behaviour gate for refactors.
 
 ``tests/golden/`` holds, for every ``corpus/*.json``, the ``run --trace``
-JSON in both regimes and the ``opt --trace`` JSON, plus request-regime
-runs of a few seeded instances at benchmark sizes (stored under
+JSON in both regimes and the ``opt --trace`` JSON, plus runs of a few
+instances at benchmark sizes: request-regime runs of seeded instances,
+and default-regime runs of seeded delay instances and an
+``investment_star``.  Those inputs are stored under
 ``tests/golden/instances/`` so the gate does not depend on the
-generator).  ``tests/test_golden.py`` compares every file byte for byte.
+generator.  ``tests/test_golden.py`` compares every file byte for byte.
 
 Regenerate only on purpose, and say why in CHANGES.md:
 
@@ -20,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 from metricserve import cli
-from metricserve.instance import generate, serialize_instance
+from metricserve.instance import Instance, generate, investment_star, serialize_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -37,6 +39,15 @@ SEEDED = [
     ("delay", 20, 24, 23),
 ]
 
+# (mode, n_points, n_requests, seed): the delay-sparse benchmark sizes, run
+# in the default regime next to one investment_star with STAR_LEAVES leaves
+SEEDED_RUN = [
+    ("delay", 30, 40, 31),
+    ("delay", 30, 40, 32),
+    ("delay", 30, 40, 33),
+]
+STAR_LEAVES = 120
+
 # command name -> extra CLI arguments
 COMMANDS = {
     "run": ["run"],
@@ -49,12 +60,26 @@ def seeded_name(mode: str, n: int, m: int, seed: int) -> str:
     return f"{mode}-n{n}-m{m}-s{seed}"
 
 
+def stored_instances() -> dict[str, Instance]:
+    """File stem -> instance, for every input kept under ``INSTANCES``."""
+    out = {
+        seeded_name(mode, n, m, seed): generate(
+            seed=seed, n_points=n, n_requests=m, mode=mode
+        )
+        for mode, n, m, seed in SEEDED + SEEDED_RUN
+    }
+    out[f"investment_star-{STAR_LEAVES}"] = investment_star(STAR_LEAVES)
+    return out
+
+
 def cases() -> list[tuple[str, Path]]:
     """(command, instance path) of every golden file."""
     out = [(cmd, p) for p in sorted(CORPUS.glob("*.json")) for cmd in COMMANDS]
     out += [
         ("run-request-regime", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED
     ]
+    out += [("run", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_RUN]
+    out += [("run", INSTANCES / f"investment_star-{STAR_LEAVES}.json")]
     return out
 
 
@@ -76,11 +101,8 @@ def render(command: str, instance: Path) -> str:
 
 def main() -> int:
     INSTANCES.mkdir(parents=True, exist_ok=True)
-    for mode, n, m, seed in SEEDED:
-        inst = generate(seed=seed, n_points=n, n_requests=m, mode=mode)
-        (INSTANCES / f"{seeded_name(mode, n, m, seed)}.json").write_text(
-            serialize_instance(inst)
-        )
+    for stem, inst in stored_instances().items():
+        (INSTANCES / f"{stem}.json").write_text(serialize_instance(inst))
     for command, instance in cases():
         path = golden_path(command, instance)
         path.parent.mkdir(parents=True, exist_ok=True)
