@@ -40,6 +40,7 @@ request points plus the start), rebuilt only when a reveal adds a point.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -194,15 +195,14 @@ class DelayEngine:
         """Largest level whose total residual has reached its threshold."""
         if not self.pending:
             return None
-        total = math.fsum(self.residual(qid, t) for qid in self.pending)
+        shares = [(self.clamped_alevel(qid), self.residual(qid, t)) for qid in self.pending]
+        total = math.fsum(r for _, r in shares)
         if total <= config.EPS_VAL:
             return None
-        cap = max(
-            max(self.clamped_alevel(qid) for qid in self.pending),
-            math.ceil(math.log2(total)) + 1,
-        )
+        cap = max(max(lv for lv, _ in shares), math.ceil(math.log2(total)) + 1)
         for level in range(cap, self.level_floor - 1, -1):
-            if self.total_residual(level, t) >= 2.0**level - config.EPS_VAL:
+            # the same sum as total_residual(level, t)
+            if math.fsum(r for lv, r in shares if lv <= level) >= 2.0**level - config.EPS_VAL:
                 return level
         return None
 
@@ -414,6 +414,7 @@ class DelayEngine:
             by_node.setdefault(space.index[self.requests[qid].point], []).append(qid)
         root = space.index[root]
 
+        @functools.cache  # the closing calls below repeat a probe
         def evaluate(t_prime: float) -> PcstSolution:
             penalties = {
                 node: math.fsum(
@@ -446,26 +447,17 @@ class DelayEngine:
             tc = self.requests[qid].delay.first_time_at_least(self.counters[qid])
             if t < tc < t_big:
                 cuts.add(tc)
-        probes = sorted(cuts) + [t_big]
-
-        sol = evaluate(t)
-        if sol.total_cost >= budget - config.EPS_VAL:
-            return t, sol
         lo = t
-        crossed = None
-        for p in probes:
-            sol_p = evaluate(p)
-            if sol_p.total_cost >= budget - config.EPS_VAL:
-                crossed = p
+        for hi in [t, *sorted(cuts), t_big]:
+            if evaluate(hi).total_cost >= budget - config.EPS_VAL:
                 break
-            lo = p
-        if crossed is None:
+            lo = hi
+        else:
             final = evaluate(t_big)
             assert set(by_node) <= final.served, (
                 "past the probe horizon an unserved terminal forces a crossing"
             )
             return math.inf, final
-        hi = crossed
         while hi - lo > config.EPS_TIME:
             mid = 0.5 * (lo + hi)
             if evaluate(mid).total_cost >= budget - config.EPS_VAL:

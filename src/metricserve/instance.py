@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import config
 from .metric import WeightedGraph
@@ -59,6 +59,7 @@ class DelayFunction:
 
     breakpoints: tuple[tuple[float, float], ...]
     final_slope: float
+    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.breakpoints:
@@ -68,6 +69,7 @@ class DelayFunction:
             "breakpoints",
             tuple((float(t), float(y)) for t, y in self.breakpoints),
         )
+        object.__setattr__(self, "_times", tuple(t for t, _ in self.breakpoints))
         if self.breakpoints[0][1] != 0.0:
             raise InstanceFormatError("delay must be zero at release")
         for (t0, y0), (t1, y1) in zip(self.breakpoints, self.breakpoints[1:]):
@@ -84,7 +86,7 @@ class DelayFunction:
 
     def value(self, t: float) -> float:
         """y(t); requires t >= release up to tolerance."""
-        times = [bp[0] for bp in self.breakpoints]
+        times = self._times
         if t < times[0] - config.EPS_TIME:
             raise ValueError(f"delay evaluated at {t} before release {times[0]}")
         t = max(t, times[0])
@@ -97,7 +99,7 @@ class DelayFunction:
 
     def slope_at(self, t: float) -> float:
         """Right-derivative at t (constant between breakpoints)."""
-        times = [bp[0] for bp in self.breakpoints]
+        times = self._times
         t = max(t, times[0])
         i = bisect.bisect_right(times, t) - 1
         if i >= len(self.breakpoints) - 1:

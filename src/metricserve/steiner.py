@@ -13,11 +13,15 @@ tests and acceptance runs.
 - ``pcst_exact``: one Dreyfus-Wagner table plus a scan over served
   subsets, capped at 10 terminals.
 
-All tie-breaking is by lowest node id so traces are reproducible.
+Ties break deterministically so traces are reproducible: Kruskal orders
+equal weights by node ids, shortest paths prefer the lowest-id neighbour,
+and ``pcst_approx`` keeps the first event in its scan order unless a later
+one is smaller by more than ``1e-15``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -300,6 +304,12 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
     The tree hanging off the root's component is then strong-pruned: a
     subtree is kept only when the penalty mass it rescues exceeds the
     edge cost paid to reach it.
+
+    Each moat event is the first candidate in scan order: edges going tight
+    in sorted ``(u, v)`` order, then active components running out of
+    surplus by ascending root id.  A later candidate replaces the current
+    one only when it is smaller by more than ``1e-15``; a merge keeps the
+    root id of the edge's ``v`` side.
     """
     terminals = set(terminals)
     for t in terminals:
@@ -307,69 +317,63 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
             raise ValueError("penalties must be nonnegative")
     eps = config.EPS_VAL
 
-    parent = list(range(m.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    # every node carries the id of its component's root; a merge relabels
+    # the members of the absorbed root
+    comp = list(range(m.n))
+    members: list[list[int]] = [[v] for v in range(m.n)]
     surplus = [0.0] * m.n
     active = [False] * m.n
-    has_root = [False] * m.n
-    members: list[list[int]] = [[v] for v in range(m.n)]
     for t in terminals:
         if t != root:
             surplus[t] = penalties.get(t, 0.0)
             active[t] = surplus[t] > eps
-    has_root[root] = True
+    live = sorted(t for t in terminals if active[t])  # active roots, ascending
 
     depth = [0.0] * m.n  # accumulated moat depth per node
-    graph_edges = sorted(m.edges)
+    # edges between distinct components, in sorted order
+    edges = [(u, v, m.edge_weight(u, v)) for u, v in sorted(m.edges)]
     forest: list[tuple[int, int]] = []
 
-    while True:
-        roots = sorted({find(v) for v in range(m.n)})
-        if not any(active[c] for c in roots):
-            break
+    while live:
         best_delta = math.inf
         best_event: tuple | None = None
-        for u, v in graph_edges:
-            cu, cv = find(u), find(v)
-            if cu == cv:
-                continue
-            rate = (1 if active[cu] else 0) + (1 if active[cv] else 0)
+        for u, v, w in edges:
+            rate = active[comp[u]] + active[comp[v]]
             if rate == 0:
                 continue
-            delta = max(0.0, m.edge_weight(u, v) - depth[u] - depth[v]) / rate
+            slack = w - depth[u] - depth[v]  # max(0.0, slack) without the call
+            delta = (slack if slack > 0.0 else 0.0) / rate
             if delta < best_delta - 1e-15:
                 best_delta = delta
-                best_event = ("edge", u, v)
-        for c in roots:
-            if active[c] and surplus[c] < best_delta - 1e-15:
+                best_event = (u, v)
+        for c in live:
+            if surplus[c] < best_delta - 1e-15:
                 best_delta = surplus[c]
-                best_event = ("deactivate", c)
+                best_event = (c,)
         if best_event is None:
             break
-        for c in roots:
-            if active[c]:
-                surplus[c] -= best_delta
-                for v in members[c]:
-                    depth[v] += best_delta
-        if best_event[0] == "edge":
-            _, u, v = best_event
-            cu, cv = find(u), find(v)
+        for c in live:
+            surplus[c] -= best_delta
+            for v in members[c]:
+                depth[v] += best_delta
+        if len(best_event) == 2:
+            u, v = best_event
+            cu, cv = comp[u], comp[v]
             forest.append((min(u, v), max(u, v)))
-            parent[cu] = cv
+            for x in members[cu]:
+                comp[x] = cv
             members[cv].extend(members[cu])
             surplus[cv] = max(0.0, surplus[cu]) + max(0.0, surplus[cv])
-            has_root[cv] = has_root[cv] or has_root[cu]
-            active[cv] = (not has_root[cv]) and surplus[cv] > eps
+            active[cv] = comp[root] != cv and surplus[cv] > eps
+            live = [c for c in live if c != cu and c != cv]
+            if active[cv]:
+                bisect.insort(live, cv)
+            edges = [e for e in edges if comp[e[0]] != comp[e[1]]]
         else:
-            c = find(best_event[1])
+            c = best_event[0]
             surplus[c] = 0.0
             active[c] = False
+            live.remove(c)
 
     # strong pruning over the forest tree containing the root: keep a child
     # subtree only when the penalty mass it rescues strictly exceeds the

@@ -301,7 +301,7 @@ def test_trace_json_roundtrip_stable():
 
 def test_request_regime_builds_one_closure_per_released_set(monkeypatch):
     import metricserve.delay_engine as engine_module
-    from golden_traces import INSTANCES, golden_path
+    from golden_traces import GOLDEN, INSTANCES
     from metricserve.instance import parse_instance
     from metricserve.metric import complete_graph_on
 
@@ -312,10 +312,39 @@ def test_request_regime_builds_one_closure_per_released_set(monkeypatch):
         return complete_graph_on(m, points)
 
     monkeypatch.setattr(engine_module, "complete_graph_on", counting)
-    for path in sorted(INSTANCES.glob("delay-*.json")):
+    for golden in sorted((GOLDEN / "run-request-regime").glob("delay-*.json")):
         built.clear()
-        inst = parse_instance(path.read_text())
+        inst = parse_instance((INSTANCES / golden.name).read_text())
         trace = run_delay(inst, request_regime=True)
         assert built and len(built) == len(set(built))
         assert len(built) <= len({q.point for q in inst.requests} | {inst.server_start})
-        assert trace.to_json() == golden_path("run-request-regime", path).read_text()
+        assert trace.to_json() == golden.read_text()
+
+
+def test_forwarding_search_solves_each_probe_once(monkeypatch):
+    """No forwarding-time search solves the same prize-collecting problem
+    twice: probing one time twice would repeat its penalties.  The traces
+    stay the golden ones."""
+    import metricserve.delay_engine as engine_module
+    from golden_traces import INSTANCES, cases, golden_path, render
+    from metricserve.steiner import pcst_approx
+
+    searches = []
+    real_search = DelayEngine._forwarding_time
+
+    def search(self, *args):
+        searches.append([])
+        return real_search(self, *args)
+
+    def solve(space, terminals, penalties, root):
+        searches[-1].append(tuple(sorted(penalties.items())))
+        return pcst_approx(space, terminals, penalties, root)
+
+    monkeypatch.setattr(DelayEngine, "_forwarding_time", search)
+    monkeypatch.setattr(engine_module, "pcst_approx", solve)
+    paths = [p for c, p in cases() if c == "run" and p.parent == INSTANCES]
+    assert paths
+    for path in paths:
+        searches.clear()
+        assert render("run", path) == golden_path("run", path).read_text()
+        assert searches and all(len(s) == len(set(s)) for s in searches), path.name

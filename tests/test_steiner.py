@@ -1,11 +1,15 @@
 """Steiner / PCST solvers against enumeration oracles and ratio bounds."""
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from metricserve.metric import build_metric
+from metricserve import config
+from metricserve.metric import build_metric, complete_graph_on
 from metricserve.steiner import (
+    PcstSolution,
     TerminalCapError,
     infinite_penalty,
     pcst_approx,
@@ -227,3 +231,163 @@ def test_pcst_approx_deep_tree_under_low_recursion_limit():
     assert far.total_cost == pytest.approx(n - 1)
     assert cheap.served == frozenset() and cheap.tree_edges == frozenset()
     assert cheap.total_cost == pytest.approx(200.0)
+
+
+def _reference_pcst_approx(m, terminals, penalties, root):
+    """Reference: moat growth over a union-find, rescanning every edge per event."""
+    terminals = set(terminals)
+    eps = config.EPS_VAL
+    parent = list(range(m.n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    surplus = [0.0] * m.n
+    active = [False] * m.n
+    has_root = [False] * m.n
+    members = [[v] for v in range(m.n)]
+    for t in terminals:
+        if t != root:
+            surplus[t] = penalties.get(t, 0.0)
+            active[t] = surplus[t] > eps
+    has_root[root] = True
+    depth = [0.0] * m.n
+    graph_edges = sorted(m.edges)
+    forest = []
+    while True:
+        roots = sorted({find(v) for v in range(m.n)})
+        if not any(active[c] for c in roots):
+            break
+        best_delta = math.inf
+        best_event = None
+        for u, v in graph_edges:
+            cu, cv = find(u), find(v)
+            if cu == cv:
+                continue
+            rate = (1 if active[cu] else 0) + (1 if active[cv] else 0)
+            if rate == 0:
+                continue
+            delta = max(0.0, m.edge_weight(u, v) - depth[u] - depth[v]) / rate
+            if delta < best_delta - 1e-15:
+                best_delta = delta
+                best_event = ("edge", u, v)
+        for c in roots:
+            if active[c] and surplus[c] < best_delta - 1e-15:
+                best_delta = surplus[c]
+                best_event = ("deactivate", c)
+        if best_event is None:
+            break
+        for c in roots:
+            if active[c]:
+                surplus[c] -= best_delta
+                for v in members[c]:
+                    depth[v] += best_delta
+        if best_event[0] == "edge":
+            _, u, v = best_event
+            cu, cv = find(u), find(v)
+            forest.append((min(u, v), max(u, v)))
+            parent[cu] = cv
+            members[cv].extend(members[cu])
+            surplus[cv] = max(0.0, surplus[cu]) + max(0.0, surplus[cv])
+            has_root[cv] = has_root[cv] or has_root[cu]
+            active[cv] = (not has_root[cv]) and surplus[cv] > eps
+        else:
+            c = find(best_event[1])
+            surplus[c] = 0.0
+            active[c] = False
+
+    adj = {}
+    for u, v in forest:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+
+    def open_frame(u, par):
+        b = penalties.get(u, 0.0) if u in terminals else 0.0
+        return [u, par, iter(sorted(adj.get(u, []))), b]
+
+    kept = set()
+    stack = [open_frame(root, -1)]
+    while stack:
+        frame = stack[-1]
+        u, par, children, _ = frame
+        for v in children:
+            if v != par:
+                stack.append(open_frame(v, u))
+                break
+        else:
+            stack.pop()
+            if stack:
+                up = stack[-1]
+                w = m.edge_weight(up[0], u)
+                if frame[3] > w + eps:
+                    kept.add((min(up[0], u), max(up[0], u)))
+                    up[3] += frame[3] - w
+    tree_nodes = {root}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in kept:
+            in_u, in_v = u in tree_nodes, v in tree_nodes
+            if in_u != in_v:
+                tree_nodes.update((u, v))
+                changed = True
+    tree = [e for e in kept if e[0] in tree_nodes and e[1] in tree_nodes]
+    served = frozenset(t for t in terminals if t in tree_nodes or t == root)
+    tree_cost = sum(m.edge_weight(u, v) for u, v in tree)
+    penalty_cost = sum(penalties.get(t, 0.0) for t in terminals if t not in served)
+    return PcstSolution(
+        tree_edges=frozenset(tree),
+        served=served,
+        tree_cost=tree_cost,
+        penalty_cost=penalty_cost,
+        total_cost=tree_cost + penalty_cost,
+    )
+
+
+def test_pcst_approx_matches_reference_moat_growth():
+    """Exactly the reference's solution on 320 cases: sparse graphs with
+    integer weights (exact ties) or tenths (ties off by an ulp or two),
+    random-weight graphs and metric closures, under integer, equal, zero
+    and random penalties, with and without the root among the terminals."""
+    rng = random.Random(53)
+    for i in range(320):
+        n = rng.randint(2, 14)
+        kind = i % 4
+        if kind == 0:
+            m = build_metric(
+                random_graph(rng, n, extra_edges=rng.randrange(n), weight_range=(1, 4),
+                             integer_weights=True)
+            )
+        elif kind == 1:
+            g = random_graph(rng, n, extra_edges=rng.randrange(n), weight_range=(1, 9),
+                             integer_weights=True)
+            m = build_metric(replace(g, edges=tuple((u, v, w / 10) for u, v, w in g.edges)))
+        elif kind == 2:
+            m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(n)))
+        else:
+            base = build_metric(random_graph(rng, n + 4, extra_edges=rng.randrange(4),
+                                             weight_range=(1, 5), integer_weights=True))
+            m = complete_graph_on(base, rng.sample(range(n + 4), n))
+        root = rng.randrange(n)
+        terminals = set(rng.sample(range(n), rng.randint(1, n)))
+        if (i // 16) % 2:
+            terminals.add(root)
+        else:
+            terminals.discard(root)
+        unit = 0.1 if kind == 1 else 1.0
+        mode = (i // 4) % 4
+        if mode == 0:
+            pen = {t: rng.randint(0, 12) * unit for t in terminals}
+        elif mode == 1:
+            same = rng.randint(1, 8) * unit
+            pen = {t: same for t in terminals}
+        elif mode == 2:
+            pen = {t: 0.0 for t in terminals}
+        else:
+            pen = {t: rng.choice([0.0, rng.uniform(0.0, 20.0)]) for t in terminals}
+        assert pcst_approx(m, terminals, pen, root) == _reference_pcst_approx(
+            m, terminals, pen, root
+        ), i
