@@ -345,19 +345,19 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
             delta = (slack if slack > 0.0 else 0.0) / rate
             if delta < best_delta - 1e-15:
                 best_delta = delta
-                best_event = (u, v)
+                best_event = ("edge", u, v)
         for c in live:
             if surplus[c] < best_delta - 1e-15:
                 best_delta = surplus[c]
-                best_event = (c,)
+                best_event = ("deactivate", c)
         if best_event is None:
             break
         for c in live:
             surplus[c] -= best_delta
             for v in members[c]:
                 depth[v] += best_delta
-        if len(best_event) == 2:
-            u, v = best_event
+        if best_event[0] == "edge":
+            _, u, v = best_event
             cu, cv = comp[u], comp[v]
             forest.append((min(u, v), max(u, v)))
             for x in members[cu]:
@@ -370,7 +370,7 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
                 bisect.insort(live, cv)
             edges = [e for e in edges if comp[e[0]] != comp[e[1]]]
         else:
-            c = best_event[0]
+            c = best_event[1]
             surplus[c] = 0.0
             active[c] = False
             live.remove(c)

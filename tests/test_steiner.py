@@ -354,7 +354,7 @@ def test_pcst_approx_matches_reference_moat_growth():
     and random penalties, with and without the root among the terminals."""
     rng = random.Random(53)
     for i in range(320):
-        n = rng.randint(2, 14)
+        n = rng.randint(2, 30)
         kind = i % 4
         if kind == 0:
             m = build_metric(
