@@ -3,7 +3,7 @@
 ``tests/golden/`` holds, for every ``corpus/*.json``, the ``run --trace``
 JSON in both regimes and the ``opt --trace`` JSON, plus runs of a few
 instances at benchmark sizes: request-regime runs of seeded instances,
-and default-regime runs of seeded delay instances and an
+and default-regime runs of seeded delay and deadline instances and an
 ``investment_star``.  Those inputs are stored under
 ``tests/golden/instances/`` so the gate does not depend on the
 generator.  ``tests/test_golden.py`` compares every file byte for byte.
@@ -39,12 +39,15 @@ SEEDED = [
     ("delay", 20, 24, 23),
 ]
 
-# (mode, n_points, n_requests, seed): the delay-sparse benchmark sizes, run
-# in the default regime next to one investment_star with STAR_LEAVES leaves
+# (mode, n_points, n_requests, seed): the delay-sparse and deadline-sparse
+# benchmark sizes, run in the default regime next to one investment_star
+# with STAR_LEAVES leaves
 SEEDED_RUN = [
     ("delay", 30, 40, 31),
     ("delay", 30, 40, 32),
     ("delay", 30, 40, 33),
+    ("deadline", 200, 300, 41),
+    ("deadline", 200, 300, 42),
 ]
 STAR_LEAVES = 120
 

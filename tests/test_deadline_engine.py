@@ -242,7 +242,7 @@ def test_trace_json_stable():
 
 def test_request_regime_builds_one_closure_per_released_set(monkeypatch):
     import metricserve.deadline_engine as engine_module
-    from golden_traces import INSTANCES, golden_path
+    from golden_traces import GOLDEN, INSTANCES
     from metricserve.instance import parse_instance
     from metricserve.metric import complete_graph_on
 
@@ -253,10 +253,10 @@ def test_request_regime_builds_one_closure_per_released_set(monkeypatch):
         return complete_graph_on(m, points)
 
     monkeypatch.setattr(engine_module, "complete_graph_on", counting)
-    for path in sorted(INSTANCES.glob("deadline-*.json")):
+    for golden in sorted((GOLDEN / "run-request-regime").glob("deadline-*.json")):
         built.clear()
-        inst = parse_instance(path.read_text())
+        inst = parse_instance((INSTANCES / golden.name).read_text())
         trace = run_deadline(inst, request_regime=True)
         assert built and len(built) == len(set(built))
         assert len(built) <= len({q.point for q in inst.requests} | {inst.server_start})
-        assert trace.to_json() == golden_path("run-request-regime", path).read_text()
+        assert trace.to_json() == golden.read_text()

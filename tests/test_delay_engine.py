@@ -342,7 +342,10 @@ def test_forwarding_search_solves_each_probe_once(monkeypatch):
 
     monkeypatch.setattr(DelayEngine, "_forwarding_time", search)
     monkeypatch.setattr(engine_module, "pcst_approx", solve)
-    paths = [p for c, p in cases() if c == "run" and p.parent == INSTANCES]
+    paths = [
+        p for c, p in cases()
+        if c == "run" and p.parent == INSTANCES and not p.name.startswith("deadline-")
+    ]
     assert paths
     for path in paths:
         searches.clear()
