@@ -10,6 +10,12 @@ tours the final tree depth-first, upgrades the unserved eligible
 requests one level above the service, and relocates to the trigger if
 the service was primary (adjusted level dictated by distance).
 
+Each growth step hands the previous step's tree to ``steiner_approx`` as
+``grow_from``, so a step only adds the new terminal's closure edges to
+the carried closure MST; the trees, and so the traces, are exactly those
+of solving every step from scratch (see ``steiner``).  Shortest-path
+expansions are memoised on the metric and live as long as it does.
+
 The walk rule fixes what the tour leaves open: start -> trigger, DFS of
 the tree from the trigger with children by ascending node id, back to
 the trigger, back to the start, then the optional relocation hop.
@@ -153,9 +159,12 @@ class DeadlineEngine:
 
         space = self.space()
         chosen: list[int] = []
+        terminals: set[int] = set()
+        tree = None
         for rid in eligible:
             chosen.append(rid)
-            tree = steiner_approx(space, {space.index[self.requests[r].point] for r in chosen})
+            terminals.add(space.index[self.requests[rid].point])
+            tree = steiner_approx(space, terminals, grow_from=tree)
             if tree.cost >= budget - config.EPS_VAL:
                 break
 

@@ -125,6 +125,10 @@ class MetricSpace:
     points: tuple[int, ...]
     _adj: dict[int, list[tuple[int, float]]] = field(repr=False, default_factory=dict)
     _edge_weight: dict[tuple[int, int], float] = field(repr=False, default_factory=dict)
+    # (u, v) -> path_edges(u, v); the space is immutable, so entries never go stale
+    _paths: dict[tuple[int, int], tuple[tuple[float, int, int], ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -151,27 +155,39 @@ class MetricSpace:
         return float(self.dist.max()) / self.d_min if self.n > 1 else 1.0
 
     def shortest_path_nodes(self, u: int, v: int) -> list[int]:
-        """Lexicographically smallest shortest path from u to v, as nodes.
-
-        Greedy: at each node pick the smallest-id neighbor that keeps the
-        remaining distance exact.  Deterministic, so traced walks and
-        tree expansions are reproducible.
-        """
-        eps = config.EPS_GEO
+        """Lexicographically smallest shortest path from u to v, as nodes."""
         path = [u]
+        for _, a, b in self.path_edges(u, v):
+            path.append(b if a == path[-1] else a)
+        return path
+
+    def path_edges(self, u: int, v: int) -> tuple[tuple[float, int, int], ...]:
+        """Hops of the lexicographically smallest shortest path from u to v,
+        in path order, as ``(weight, min id, max id)``; memoised per space."""
+        hops = self._paths.get((u, v))
+        if hops is None:
+            hops = self._paths[(u, v)] = self._walk(u, v)
+        return hops
+
+    def _walk(self, u: int, v: int) -> tuple[tuple[float, int, int], ...]:
+        """Greedy: at each node take the smallest-id neighbor that keeps the
+        remaining distance exact.  Deterministic, so traced walks and tree
+        expansions are reproducible."""
+        eps = config.EPS_GEO
+        hops = []
         cur = u
-        target = self.distance(u, v)
-        remaining = target
+        remaining = self.distance(u, v)
+        row = self.dist[:, v]
         while cur != v:
             for z, w in self._adj[cur]:
-                if abs(w + self.distance(z, v) - remaining) <= eps:
-                    path.append(z)
+                if abs(w + float(row[z]) - remaining) <= eps:
+                    hops.append((w, min(cur, z), max(cur, z)))
                     remaining -= w
                     cur = z
                     break
             else:
                 raise RuntimeError(f"no shortest-path step from {cur} toward {v}")
-        return path
+        return tuple(hops)
 
 
 def build_metric(g: WeightedGraph) -> MetricSpace:

@@ -5,7 +5,8 @@ used inside the online engines, and an exact exponential oracle used by
 tests and acceptance runs.
 
 - ``steiner_approx``: metric-closure MST expanded through shortest paths
-  (the classic 2-approximation).
+  (the classic 2-approximation), optionally grown from an earlier
+  solution over fewer terminals.
 - ``steiner_exact``: subset dynamic programming over terminals
   (Dreyfus-Wagner), capped at 10 terminals.
 - ``pcst_approx``: primal-dual moat growth with strong pruning
@@ -17,13 +18,33 @@ Ties break deterministically so traces are reproducible: Kruskal orders
 equal weights by node ids, shortest paths prefer the lowest-id neighbour,
 and ``pcst_approx`` keeps the first event in its scan order unless a later
 one is smaller by more than ``1e-15``.
+
+Growing a Steiner tree
+----------------------
+The deadline engine adds terminals one at a time and needs the tree
+after each step.  A ``SteinerSolution`` from ``steiner_approx`` keeps its
+terminals and its closure-MST edges, and ``steiner_approx(m, T,
+grow_from=s)`` with ``s.terminals`` a subset of ``T`` runs Kruskal only
+over ``s``'s closure-MST edges plus the closure edges of the new
+terminals, read as one row of ``m.dist`` each.  This is exact, not an
+approximation of the batch result: Kruskal orders edges by the strict key
+``(w, u, v)``, so the MST is unique, and by the cycle property every
+closure edge between old terminals that is not in the old MST is the
+largest key on a cycle of old edges, so it is not in the new MST either.
+The batch call is growth from nothing.  The rest of a step is cheap as
+well: ``MetricSpace.path_edges`` memoises each shortest-path expansion,
+a union of paths with one edge fewer than nodes is already the tree the
+second Kruskal would return, and leaf pruning is one queue pass that
+keeps list order, so costs are summed in the same order as before.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +73,14 @@ class TerminalCapError(ValueError):
 class SteinerSolution:
     tree_edges: EdgeSet
     cost: float
+    # what steiner_approx needs to grow this solution by more terminals
+    terminals: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
+    closure_mst: tuple[tuple[float, int, int], ...] = field(
+        default=(), compare=False, repr=False
+    )
+
+
+_NOTHING = SteinerSolution(frozenset(), 0.0)
 
 
 @dataclass(frozen=True)
@@ -73,14 +102,12 @@ def infinite_penalty(m: MetricSpace) -> float:
 # shared helpers
 # ---------------------------------------------------------------------------
 
+WeightedEdge = tuple[float, int, int]  # (weight, min id, max id)
 
-def _kruskal(
-    nodes: set[int], weighted_edges: list[tuple[float, int, int]]
-) -> list[tuple[int, int]] | None:
-    """MST edges over the given nodes; None if they end up disconnected.
 
-    Ties break on (weight, u, v).
-    """
+def _kruskal(nodes: set[int], candidates: list[WeightedEdge]) -> list[WeightedEdge] | None:
+    """MST edges over the given nodes in acceptance order, that is sorted by
+    (weight, u, v); None if the nodes end up disconnected."""
     parent = {v: v for v in nodes}
 
     def find(v: int) -> int:
@@ -90,48 +117,79 @@ def _kruskal(
         return v
 
     out = []
-    for w, u, v in sorted(weighted_edges):
-        ru, rv = find(u), find(v)
+    need = len(nodes) - 1
+    for e in sorted(candidates):
+        if len(out) == need:
+            break
+        ru, rv = find(e[1]), find(e[2])
         if ru != rv:
             parent[ru] = rv
-            out.append((min(u, v), max(u, v)))
-    if len(out) != len(nodes) - 1:
+            out.append(e)
+    if len(out) != need:
         return None
     return out
 
 
-def _prune_leaves(edges: list[tuple[int, int]], keep: set[int]) -> list[tuple[int, int]]:
-    """Iteratively drop degree-1 nodes outside ``keep``."""
-    edges = list(edges)
-    while True:
-        degree: dict[int, int] = {}
-        for u, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        removable = {v for v, d in degree.items() if d == 1 and v not in keep}
-        if not removable:
-            return edges
-        edges = [e for e in edges if e[0] not in removable and e[1] not in removable]
+def _prune_leaves(edges: list[WeightedEdge], keep: set[int]) -> list[WeightedEdge]:
+    """Drop degree-1 nodes outside ``keep`` until none is left.
+
+    One pass over a queue of leaves; the surviving edges keep their list
+    order, so sums over them add the same weights in the same order.
+    """
+    if not edges:
+        return edges
+    _, us, vs = zip(*edges)
+    degree = Counter(us)
+    degree.update(vs)
+    leaves = [x for x, d in degree.items() if d == 1 and x not in keep]
+    if not leaves:
+        return edges
+    incident: dict[int, list[int]] = {}
+    for i, (_, u, v) in enumerate(edges):
+        incident.setdefault(u, []).append(i)
+        incident.setdefault(v, []).append(i)
+    alive = [True] * len(edges)
+    while leaves:
+        x = leaves.pop()
+        for i in incident[x]:
+            if alive[i]:
+                alive[i] = False
+                _, u, v = edges[i]
+                y = v if u == x else u
+                degree[y] -= 1
+                if degree[y] == 1 and y not in keep:
+                    leaves.append(y)
+                break
+    return [e for e, a in zip(edges, alive) if a]
 
 
 def _edge_cost(m: MetricSpace, edges) -> float:
     return sum(m.edge_weight(u, v) for u, v in edges)
 
 
-def _add_path(m: MetricSpace, u: int, v: int, out: set[tuple[int, int]]) -> None:
-    path = m.shortest_path_nodes(u, v)
-    out.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
-
-
-def _tree_from_edges(
-    m: MetricSpace, edges: set[tuple[int, int]], keep: set[int]
-) -> list[tuple[int, int]]:
-    """Deduplicate a shortest-path union into a tree spanning ``keep``."""
-    if not edges:
+def _tree_from_paths(union: set[WeightedEdge], keep: set[int]) -> list[WeightedEdge]:
+    """Deduplicate a connected union of shortest paths into a tree
+    spanning ``keep``, by Kruskal and leaf pruning.  A union with one edge
+    fewer than nodes is already a tree, and Kruskal would return it
+    sorted."""
+    if not union:
         return []
-    nodes = {u for e in edges for u in e} | keep
-    mst = _kruskal(nodes, [(m.edge_weight(u, v), u, v) for u, v in edges])
+    _, us, vs = zip(*union)
+    nodes = set(us)
+    nodes.update(vs)
+    if len(union) == len(nodes) - 1:
+        mst = sorted(union)
+    else:
+        mst = _kruskal(nodes, list(union))
     return _prune_leaves(mst, keep)
+
+
+def _solution(tree: list[WeightedEdge], **extra) -> SteinerSolution:
+    return SteinerSolution(
+        tree_edges=frozenset([(u, v) for _, u, v in tree]),
+        cost=sum([w for w, _, _ in tree]),
+        **extra,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +197,46 @@ def _tree_from_edges(
 # ---------------------------------------------------------------------------
 
 
-def steiner_approx(m: MetricSpace, terminals) -> SteinerSolution:
-    terminals = set(terminals)
+def steiner_approx(
+    m: MetricSpace, terminals, grow_from: SteinerSolution | None = None
+) -> SteinerSolution:
+    """Closure MST over the terminals, expanded through shortest paths,
+    deduplicated into a tree and leaf-pruned.
+
+    ``grow_from`` is an earlier solution in the same metric.  When its
+    terminals are a subset of these, Kruskal only looks at its closure-MST
+    edges and the new terminals' closure edges; otherwise, and without
+    it, at the whole closure.  Both give the same tree (see the module
+    docstring).
+    """
+    terminals = frozenset(terminals)
     if not terminals:
         raise ValueError("terminal set must be nonempty")
+    if grow_from is None or not grow_from.terminals <= terminals:
+        grow_from = _NOTHING
+    elif grow_from.terminals == terminals:
+        return grow_from
     if len(terminals) == 1:
-        return SteinerSolution(tree_edges=frozenset(), cost=0.0)
-    pts = sorted(terminals)
-    closure = [
-        (m.distance(pts[i], pts[j]), pts[i], pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    ]
-    closure_mst = _kruskal(set(pts), closure)
-    union: set[tuple[int, int]] = set()
-    for u, v in closure_mst:
-        _add_path(m, u, v, union)
-    nodes = {u for e in union for u in e}
-    sub_mst = _kruskal(nodes, [(m.edge_weight(u, v), u, v) for u, v in union])
-    pruned = _prune_leaves(sub_mst, terminals)
-    return SteinerSolution(tree_edges=frozenset(pruned), cost=_edge_cost(m, pruned))
+        return SteinerSolution(frozenset(), 0.0, terminals=terminals)
+    old = grow_from.terminals
+    known = sorted(old)
+    candidates = list(grow_from.closure_mst)
+    for t in sorted(terminals - old):
+        # closure edges from t to the terminals placed so far: one row slice
+        ws = m.dist[t, known].tolist()
+        i = bisect.bisect(known, t)
+        candidates += zip(ws[:i], known[:i], repeat(t))
+        candidates += zip(ws[i:], repeat(t), known[i:])
+        known.insert(i, t)
+    closure_mst = _kruskal(terminals, candidates)
+    union: set[WeightedEdge] = set()
+    for _, u, v in closure_mst:
+        union.update(m.path_edges(u, v))
+    return _solution(
+        _tree_from_paths(union, terminals),
+        terminals=terminals,
+        closure_mst=tuple(closure_mst),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +286,12 @@ class _DreyfusWagner:
             self.grow_from[mask] = totals.argmin(axis=0)
             self.split_from[mask] = split_pick
 
-    def collect_edges(self, mask: int, v: int, out: set[tuple[int, int]]) -> None:
+    def collect_edges(self, mask: int, v: int, out: set[WeightedEdge]) -> None:
         if mask & (mask - 1) == 0:
-            t = self.terminals[mask.bit_length() - 1]
-            if t != v:
-                _add_path(self.m, v, t, out)
+            out.update(self.m.path_edges(v, self.terminals[mask.bit_length() - 1]))
             return
         u = int(self.grow_from[mask][v])
-        if u != v:
-            _add_path(self.m, v, u, out)
+        out.update(self.m.path_edges(v, u))
         sub = int(self.split_from[mask][u])
         self.collect_edges(sub, u, out)
         self.collect_edges(mask ^ sub, u, out)
@@ -236,13 +311,12 @@ def steiner_exact(m: MetricSpace, terminals) -> SteinerSolution:
     dw = _DreyfusWagner(m, terminals)
     full = (1 << len(terminals)) - 1
     root = terminals[0]
-    edges: set[tuple[int, int]] = set()
-    dw.collect_edges(full, root, edges)
-    tree = _tree_from_edges(m, edges, set(terminals))
-    tree_cost = _edge_cost(m, tree)
+    union: set[WeightedEdge] = set()
+    dw.collect_edges(full, root, union)
+    solution = _solution(_tree_from_paths(union, set(terminals)))
     # path unions may share edges; the deduplicated tree is still optimal
-    assert tree_cost <= dw.cost[full][root] + 1e-6
-    return SteinerSolution(tree_edges=frozenset(tree), cost=tree_cost)
+    assert solution.cost <= dw.cost[full][root] + 1e-6
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +347,16 @@ def pcst_exact(m: MetricSpace, terminals, penalties: dict[int, float], root: int
         total = float(dw.cost[mask][root]) + pen
         if total < best_total - 1e-12:
             best_total, best_mask = total, mask
-    edges: set[tuple[int, int]] = set()
+    union: set[WeightedEdge] = set()
     if best_mask:
-        dw.collect_edges(best_mask, root, edges)
+        dw.collect_edges(best_mask, root, union)
     served_pts = {others[i] for i in range(len(others)) if best_mask & (1 << i)}
-    tree = _tree_from_edges(m, edges, served_pts | {root}) if served_pts else []
-    tree_cost = _edge_cost(m, tree)
+    tree = _tree_from_paths(union, served_pts | {root})
+    tree_cost = sum(w for w, _, _ in tree)
     served = frozenset(served_pts | ({root} if root in terminals else set()))
     penalty_cost = sum(penalties.get(t, 0.0) for t in terminals if t not in served)
     return PcstSolution(
-        tree_edges=frozenset(tree),
+        tree_edges=frozenset((u, v) for _, u, v in tree),
         served=served,
         tree_cost=tree_cost,
         penalty_cost=penalty_cost,

@@ -260,3 +260,23 @@ def test_request_regime_builds_one_closure_per_released_set(monkeypatch):
         assert built and len(built) == len(set(built))
         assert len(built) <= len({q.point for q in inst.requests} | {inst.server_start})
         assert trace.to_json() == golden.read_text()
+
+
+def test_deadline_run_expands_each_path_once(monkeypatch):
+    """A run on a benchmark-size input walks no shortest path twice: the
+    metric memoises every expansion.  The trace stays the golden one."""
+    from metricserve.metric import MetricSpace
+
+    from golden_traces import INSTANCES, golden_path, render
+
+    walked = []
+    real_walk = MetricSpace._walk
+
+    def walk(self, u, v):
+        walked.append((u, v))
+        return real_walk(self, u, v)
+
+    monkeypatch.setattr(MetricSpace, "_walk", walk)
+    path = INSTANCES / "deadline-n200-m300-s41.json"
+    assert render("run", path) == golden_path("run", path).read_text()
+    assert walked and len(walked) == len(set(walked))

@@ -221,6 +221,21 @@ def test_shortest_path_lexicographic():
     assert m.shortest_path_nodes(0, 3) == [0, 1, 3]
 
 
+def test_shortest_path_memo_is_not_shared_with_callers():
+    """Mutating a returned path leaves the memoised one intact."""
+    rng = random.Random(89)
+    m = build_metric(random_graph(rng, 12, extra_edges=6))
+    first = m.shortest_path_nodes(0, 11)
+    kept = list(first)
+    first.append(99)
+    first[0] = -1
+    assert m.shortest_path_nodes(0, 11) == kept
+    assert kept[0] == 0 and kept[-1] == 11
+    hops = m.path_edges(0, 11)
+    assert [(min(a, b), max(a, b)) for a, b in zip(kept, kept[1:])] == [e[1:] for e in hops]
+    assert [w for w, _, _ in hops] == [m.edge_weight(a, b) for a, b in zip(kept, kept[1:])]
+
+
 def test_complete_graph_on_subset():
     rng = random.Random(97)
     g = random_graph(rng, 8, extra_edges=5)

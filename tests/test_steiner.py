@@ -391,3 +391,123 @@ def test_pcst_approx_matches_reference_moat_growth():
         assert pcst_approx(m, terminals, pen, root) == _reference_pcst_approx(
             m, terminals, pen, root
         ), i
+
+
+def _reference_path(m, u, v):
+    """Reference: the greedy smallest-id shortest path, recomputed per call."""
+    path, cur, remaining = [u], u, m.distance(u, v)
+    while cur != v:
+        for z, w in m.neighbors(cur):
+            if abs(w + m.distance(z, v) - remaining) <= config.EPS_GEO:
+                path.append(z)
+                remaining -= w
+                cur = z
+                break
+        else:
+            raise RuntimeError("no shortest-path step")
+    return path
+
+
+def _reference_kruskal(nodes, weighted_edges):
+    parent = {v: v for v in nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    out = []
+    for w, u, v in sorted(weighted_edges):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            out.append((min(u, v), max(u, v)))
+    return out if len(out) == len(nodes) - 1 else None
+
+
+def _reference_prune(edges, keep):
+    edges = list(edges)
+    while True:
+        degree = {}
+        for u, v in edges:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        removable = {v for v, d in degree.items() if d == 1 and v not in keep}
+        if not removable:
+            return edges
+        edges = [e for e in edges if e[0] not in removable and e[1] not in removable]
+
+
+def _reference_steiner_approx(m, terminals):
+    """Reference: the batch 2-approximation over the full metric closure."""
+    terminals = set(terminals)
+    if len(terminals) == 1:
+        return frozenset(), 0.0
+    pts = sorted(terminals)
+    closure = [
+        (m.distance(pts[i], pts[j]), pts[i], pts[j])
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+    ]
+    union = set()
+    for u, v in _reference_kruskal(set(pts), closure):
+        path = _reference_path(m, u, v)
+        union.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+    nodes = {u for e in union for u in e}
+    sub_mst = _reference_kruskal(nodes, [(m.edge_weight(u, v), u, v) for u, v in union])
+    pruned = _reference_prune(sub_mst, terminals)
+    return frozenset(pruned), sum(m.edge_weight(u, v) for u, v in pruned)
+
+
+def test_prune_leaves_matches_reference_order():
+    """The one-pass leaf queue keeps the same edges, in list order."""
+    from metricserve.steiner import _prune_leaves
+
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(2, 25)
+        g = random_graph(rng, n, extra_edges=rng.randrange(4))
+        edges = [(w, u, v) for u, v, w in g.edges]
+        rng.shuffle(edges)
+        keep = set(rng.sample(range(n), rng.randint(0, n)))
+        got = _prune_leaves(edges, keep)
+        want = _reference_prune([(u, v) for _, u, v in edges], keep)
+        assert [(u, v) for _, u, v in got] == want
+
+
+def test_steiner_approx_growth_matches_batch_reference():
+    """Growing one terminal at a time (repeats included) gives, at every
+    step, exactly the batch reference's tree and cost, on 320 cases:
+    integer-weight graphs (exact ties), tenths, random weights and metric
+    closures.  Every fifth step grows from a solution whose terminals are
+    not a subset, which must fall back to the full closure."""
+    rng = random.Random(67)
+    for i in range(320):
+        n = rng.randint(2, 30)
+        kind = i % 4
+        if kind == 0:
+            m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(n),
+                                          weight_range=(1, 3), integer_weights=True))
+        elif kind == 1:
+            g = random_graph(rng, n, extra_edges=rng.randrange(n), weight_range=(1, 9),
+                             integer_weights=True)
+            m = build_metric(replace(g, edges=tuple((u, v, w / 10) for u, v, w in g.edges)))
+        elif kind == 2:
+            m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(n)))
+        else:
+            base = build_metric(random_graph(rng, n + 4, extra_edges=rng.randrange(4),
+                                             weight_range=(1, 4), integer_weights=True))
+            m = complete_graph_on(base, rng.sample(range(n + 4), n))
+        order = [rng.randrange(n) for _ in range(rng.randint(1, n + 5))]
+        terminals = set()
+        tree = None
+        for step, t in enumerate(order):
+            terminals.add(t)
+            if step % 5 == 4:
+                stranger = set(rng.sample(range(n), rng.randint(1, n))) - terminals
+                tree = steiner_approx(m, stranger | {t}) if stranger else tree
+            tree = steiner_approx(m, terminals, grow_from=tree)
+            want_edges, want_cost = _reference_steiner_approx(m, terminals)
+            assert (tree.tree_edges, tree.cost) == (want_edges, want_cost), (i, step)
+            assert steiner_approx(m, terminals) == tree, (i, step)
