@@ -1,7 +1,8 @@
 """Operator commands: generate, run, opt, verify, report.
 
 Every command prints a JSON summary on standard output.  Exit codes:
-0 success, 1 structural-check failure (verify), 2 usage or input error.
+0 success, 1 structural-check failure (verify), 2 usage or input error
+(including malformed instance documents and disconnected graphs).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .analysis import charge_report, classify
 from .deadline_engine import run_deadline
 from .delay_engine import run_delay
 from .instance import Instance, InstanceFormatError, generate, parse_instance, serialize_instance
-from .metric import build_metric
+from .metric import DisconnectedGraphError, build_metric
 from .offline_oracle import OracleCapError, opt_deadline, opt_delay
 
 __all__ = ["main"]
@@ -263,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, DisconnectedGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

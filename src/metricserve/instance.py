@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -166,7 +167,9 @@ class Instance:
 # ---------------------------------------------------------------------------
 
 
-def _expect_keys(obj: dict, required: set[str], where: str) -> None:
+def _expect_keys(obj, required: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise InstanceFormatError(f"{where} must be an object")
     keys = set(obj)
     if keys - required:
         raise InstanceFormatError(f"unknown fields in {where}: {sorted(keys - required)}")
@@ -174,58 +177,98 @@ def _expect_keys(obj: dict, required: set[str], where: str) -> None:
         raise InstanceFormatError(f"missing fields in {where}: {sorted(required - keys)}")
 
 
+def _list(x, where: str, length: int | None = None) -> list:
+    if not isinstance(x, list) or (length is not None and len(x) != length):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise InstanceFormatError(f"{where} must be {shape}, got {x!r:.40}")
+    return x
+
+
+def _number(x, where: str) -> float:
+    """A finite JSON number; booleans are not numbers."""
+    if type(x) is float:
+        if math.isfinite(x):
+            return x
+    elif type(x) is int:
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise InstanceFormatError(f"{where} must be a finite number, got {x!r:.40}")
+
+
+def _integer(x, where: str) -> int:
+    """A JSON integer, or a float with an integral value; not a boolean."""
+    if type(x) is int:
+        return x
+    if type(x) is float and x.is_integer():
+        return int(x)
+    raise InstanceFormatError(f"{where} must be an integer, got {x!r:.40}")
+
+
 def parse_instance(text: str) -> Instance:
+    """Read an instance document; every defect raises InstanceFormatError.
+
+    Numbers must be finite (an infinite deadline is rejected: a request
+    is always forced by some finite time, and traces stay plain JSON);
+    ids, points, the node count and edge endpoints must be integers.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level document must be an object")
     _expect_keys(doc, {"graph", "server_start", "mode", "requests"}, "document")
     gdoc = doc["graph"]
-    if not isinstance(gdoc, dict):
-        raise InstanceFormatError("graph must be an object")
     _expect_keys(gdoc, {"nodes", "edges"}, "graph")
-    graph = WeightedGraph(
-        node_count=int(gdoc["nodes"]),
-        edges=tuple((int(u), int(v), float(w)) for u, v, w in gdoc["edges"]),
-    )
+    edges = []
+    for e in _list(gdoc["edges"], "graph edges"):
+        u, v, w = _list(e, "an edge", 3)
+        edges.append((_integer(u, "edge end"), _integer(v, "edge end"), _number(w, "edge weight")))
+    nodes = _integer(gdoc["nodes"], "nodes")
+    try:
+        graph = WeightedGraph(node_count=nodes, edges=tuple(edges))
+    except ValueError as exc:
+        raise InstanceFormatError(f"bad graph: {exc}") from exc
     mode = doc["mode"]
+    if mode not in ("deadline", "delay"):
+        raise InstanceFormatError(f"unknown mode {mode!r:.40}")
     requests = []
-    for rdoc in doc["requests"]:
-        if not isinstance(rdoc, dict):
-            raise InstanceFormatError("each request must be an object")
+    for rdoc in _list(doc["requests"], "requests"):
         if mode == "deadline":
             _expect_keys(rdoc, {"id", "point", "release", "deadline"}, "request")
             requests.append(
                 DeadlineRequest(
-                    id=int(rdoc["id"]),
-                    point=int(rdoc["point"]),
-                    release=float(rdoc["release"]),
-                    deadline=float(rdoc["deadline"]),
+                    id=_integer(rdoc["id"], "request id"),
+                    point=_integer(rdoc["point"], "request point"),
+                    release=_number(rdoc["release"], "release"),
+                    deadline=_number(rdoc["deadline"], "deadline"),
                 )
             )
         else:
             _expect_keys(rdoc, {"id", "point", "release", "delay"}, "request")
             ddoc = rdoc["delay"]
-            if not isinstance(ddoc, dict):
-                raise InstanceFormatError("delay must be an object")
             _expect_keys(ddoc, {"breakpoints", "final_slope"}, "delay")
+            breakpoints = []
+            for bp in _list(ddoc["breakpoints"], "breakpoints"):
+                t, y = _list(bp, "a breakpoint", 2)
+                breakpoints.append((_number(t, "breakpoint time"), _number(y, "delay value")))
             fn = DelayFunction(
-                breakpoints=tuple((float(t), float(y)) for t, y in ddoc["breakpoints"]),
-                final_slope=float(ddoc["final_slope"]),
+                breakpoints=tuple(breakpoints),
+                final_slope=_number(ddoc["final_slope"], "final_slope"),
             )
             requests.append(
                 DelayRequest(
-                    id=int(rdoc["id"]),
-                    point=int(rdoc["point"]),
-                    release=float(rdoc["release"]),
+                    id=_integer(rdoc["id"], "request id"),
+                    point=_integer(rdoc["point"], "request point"),
+                    release=_number(rdoc["release"], "release"),
                     delay=fn,
                 )
             )
     return Instance(
         graph=graph,
-        server_start=int(doc["server_start"]),
+        server_start=_integer(doc["server_start"], "server_start"),
         mode=mode,
         requests=tuple(requests),
     )

@@ -113,3 +113,32 @@ def test_report_glob_empty_exit_2(tmp_path, capsys):
     code, _ = _run(capsys, ["report", "--glob", str(tmp_path / "*.json"),
                             "--csv", str(tmp_path / "r.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "opt", "verify"])
+def test_disconnected_graph_exit_2(tmp_path, capsys, command):
+    inst = tmp_path / "split.json"
+    inst.write_text(json.dumps({
+        "graph": {"nodes": 3, "edges": [[0, 1, 1.0]]},
+        "server_start": 0,
+        "mode": "deadline",
+        "requests": [{"id": 0, "point": 2, "release": 0.0, "deadline": 1.0}],
+    }))
+    assert main([command, "--instance", str(inst)]) == 2
+    assert "disconnected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value", [("release", float("nan")), ("point", 1.5), ("point", True)]
+)
+def test_malformed_request_exit_2(tmp_path, capsys, field, value):
+    request = {"id": 0, "point": 1, "release": 0.0, "deadline": 1.0, field: value}
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps({
+        "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+        "server_start": 0,
+        "mode": "deadline",
+        "requests": [request],
+    }))
+    assert main(["run", "--instance", str(inst)]) == 2
+    assert "bad instance" in capsys.readouterr().err

@@ -196,3 +196,133 @@ def test_mode_mismatch_rejected():
     req = DelayRequest(id=0, point=0, release=0.0, delay=fn)
     with pytest.raises(InstanceFormatError, match="wrong kind"):
         Instance(graph=g, server_start=0, mode="deadline", requests=(req,))
+
+
+MINIMAL_DELAY = {
+    "graph": {"nodes": 2, "edges": [[0, 1, 1.5]]},
+    "server_start": 0,
+    "mode": "delay",
+    "requests": [{"id": 0, "point": 1, "release": 0.0,
+                  "delay": {"breakpoints": [[0.0, 0.0], [2.0, 1.0]], "final_slope": 1.0}}],
+}
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("requests", 0, "release"), float("nan")),
+        (("requests", 0, "release"), float("-inf")),
+        (("requests", 0, "deadline"), float("inf")),
+        (("requests", 0, "point"), 1.5),
+        (("requests", 0, "point"), True),
+        (("requests", 0, "id"), "0"),
+        (("requests", 0, "deadline"), False),
+        (("requests", 0, "release"), 10**400),
+        (("graph", "nodes"), 1.25),
+        (("graph", "nodes"), True),
+        (("graph", "nodes"), 0),
+        (("graph", "edges"), "x"),
+        (("graph", "edges"), [[0, 0, 1.0]]),
+        (("graph",), [1]),
+        (("requests",), {"id": 0}),
+        (("requests", 0), [0, 0, 1.0, 2.0]),
+        (("server_start",), 0.5),
+        (("mode",), ["deadline"]),
+    ],
+)
+def test_malformed_deadline_documents_rejected(path, value):
+    with pytest.raises(InstanceFormatError):
+        parse_instance(_with(json.loads(MINIMAL_DEADLINE), path, value))
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("graph", "edges", 0, 2), float("nan")),
+        (("graph", "edges", 0, 2), -1.0),
+        (("graph", "edges", 0), [0, 1]),
+        (("graph", "edges", 0, 1), 1.0000001),
+        (("requests", 0, "delay", "final_slope"), float("nan")),
+        (("requests", 0, "delay", "final_slope"), float("inf")),
+        (("requests", 0, "delay", "breakpoints"), [[0.0, 0.0, 1.0]]),
+        (("requests", 0, "delay", "breakpoints", 1, 1), float("nan")),
+        (("requests", 0, "delay", "breakpoints"), "[]"),
+        (("requests", 0, "delay"), None),
+    ],
+)
+def test_malformed_delay_documents_rejected(path, value):
+    with pytest.raises(InstanceFormatError):
+        parse_instance(_with(MINIMAL_DELAY, path, value))
+
+
+def test_integral_numbers_accepted_as_ids():
+    doc = json.loads(MINIMAL_DEADLINE)
+    doc["graph"]["nodes"] = 1.0
+    doc["requests"][0]["point"] = 0.0
+    doc["requests"][0]["release"] = 1
+    assert parse_instance(json.dumps(doc)) == parse_instance(MINIMAL_DEADLINE)
+    assert parse_instance(json.dumps(MINIMAL_DELAY)).requests[0].point == 1
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _fields(doc, prefix=()):
+    """Paths of every field and list entry of a JSON document."""
+    out = [prefix] if prefix else []
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return out
+    for key, value in items:
+        out += _fields(value, prefix + (key,))
+    return out
+
+
+_DOCS = [json.loads(MINIMAL_DEADLINE), MINIMAL_DELAY]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_instance_raises_only_instance_format_error(data):
+    """Valid documents with one field replaced by arbitrary JSON (or
+    dropped), and arbitrary JSON documents, either parse or raise
+    InstanceFormatError, never another exception."""
+    base = data.draw(st.sampled_from(_DOCS))
+    choice = data.draw(st.integers(0, 2))
+    if choice == 0:
+        text = json.dumps(data.draw(_json_values))
+    else:
+        path = data.draw(st.sampled_from(_fields(base)))
+        doc = json.loads(json.dumps(base))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if choice == 1:
+            target[path[-1]] = data.draw(_json_values)
+        elif isinstance(target, dict):
+            del target[path[-1]]
+        else:
+            target.pop(path[-1])
+        text = json.dumps(doc)
+    try:
+        parse_instance(text)
+    except InstanceFormatError:
+        pass
