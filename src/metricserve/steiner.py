@@ -69,15 +69,16 @@ class TerminalCapError(ValueError):
     """Exact solver invoked above its terminal-count cap."""
 
 
+WeightedEdge = tuple[float, int, int]  # (weight, min id, max id)
+
+
 @dataclass(frozen=True)
 class SteinerSolution:
     tree_edges: EdgeSet
     cost: float
     # what steiner_approx needs to grow this solution by more terminals
     terminals: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
-    closure_mst: tuple[tuple[float, int, int], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    closure_mst: tuple[WeightedEdge, ...] = field(default=(), compare=False, repr=False)
 
 
 _NOTHING = SteinerSolution(frozenset(), 0.0)
@@ -102,10 +103,8 @@ def infinite_penalty(m: MetricSpace) -> float:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-WeightedEdge = tuple[float, int, int]  # (weight, min id, max id)
 
-
-def _kruskal(nodes: set[int], candidates: list[WeightedEdge]) -> list[WeightedEdge] | None:
+def _kruskal(nodes: set[int], candidates) -> list[WeightedEdge] | None:
     """MST edges over the given nodes in acceptance order, that is sorted by
     (weight, u, v); None if the nodes end up disconnected."""
     parent = {v: v for v in nodes}
@@ -180,7 +179,7 @@ def _tree_from_paths(union: set[WeightedEdge], keep: set[int]) -> list[WeightedE
     if len(union) == len(nodes) - 1:
         mst = sorted(union)
     else:
-        mst = _kruskal(nodes, list(union))
+        mst = _kruskal(nodes, union)
     return _prune_leaves(mst, keep)
 
 

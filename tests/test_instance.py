@@ -309,18 +309,16 @@ def test_parse_instance_raises_only_instance_format_error(data):
     choice = data.draw(st.integers(0, 2))
     if choice == 0:
         text = json.dumps(data.draw(_json_values))
+    elif choice == 1:
+        path = data.draw(st.sampled_from(_fields(base)))
+        text = _with(base, path, data.draw(_json_values))
     else:
         path = data.draw(st.sampled_from(_fields(base)))
         doc = json.loads(json.dumps(base))
         target = doc
         for key in path[:-1]:
             target = target[key]
-        if choice == 1:
-            target[path[-1]] = data.draw(_json_values)
-        elif isinstance(target, dict):
-            del target[path[-1]]
-        else:
-            target.pop(path[-1])
+        del target[path[-1]]
         text = json.dumps(doc)
     try:
         parse_instance(text)
