@@ -29,7 +29,7 @@ from . import config
 from .deadline_engine import DeadlineTrace
 from .delay_engine import DelayTrace
 from .instance import Instance
-from .levels import ceil_log2
+from .levels import ceil_log2, min_level
 from .metric import (
     Ball,
     MetricSpace,
@@ -158,8 +158,6 @@ def build_primary_cylinders(
     may sit on the server itself, where the concentrated-residual bound
     that the charging argument rests on is not available.
     """
-    from .deadline_engine import min_level
-
     floor = min_level(m)
     by_id = {q.id: q for q in inst.requests}
     out = []

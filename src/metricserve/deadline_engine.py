@@ -38,17 +38,12 @@ from dataclasses import dataclass
 
 from . import config
 from .instance import DeadlineRequest, Instance, distinct_deadlines_normalize
-from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, floor_log2, level_le
+from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, level_le, min_level
 from .metric import MetricSpace, build_metric, complete_graph_on
 from .steiner import steiner_approx
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
-__all__ = ["ServiceRecord", "DeadlineTrace", "DeadlineEngine", "run_deadline", "min_level"]
-
-
-def min_level(m: MetricSpace) -> int:
-    """Floor for bottom levels entering arithmetic: floor(log2 d_min) - 1."""
-    return floor_log2(m.d_min) - 1
+__all__ = ["ServiceRecord", "DeadlineTrace", "DeadlineEngine", "run_deadline"]
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ A service at level L (= critical level + 3):
    by raising counters to the current delay;
 4. forwards time: finds the first moment the prize-collecting tree over
    the eligible set, with penalties equal to the delay growth past the
-   counters, costs at least ``6 * 2**L``; serves the tree's side of
-   that solution by a depth-first tour, and pays the penalty side by
-   raising counters to the forwarded delay;
+   counters, costs at least ``6 * 2**L``, unless one Steiner tree over
+   the eligible points and the server proves that no moment does;
+   serves the tree's side of that solution by a depth-first tour, and
+   pays the penalty side by raising counters to the forwarded delay;
 5. upgrades unserved eligible requests to level L + 1 and finally moves
    to the relocation center when one was found.
 
@@ -29,9 +30,12 @@ time is infinite and the solution at the probe horizon serves every
 eligible request, so nothing is left to invest in.
 
 Between releases, breakpoints, and counter crossings every total
-residual is linear in time, so crossings are solved exactly; the
-forwarding-time search scans breakpoints and bisects inside the first
-crossing segment.
+residual is linear in time, so crossings are solved exactly.  The
+forwarding-time search first compares twice the cost of a Steiner tree
+over the root and the eligible points with the budget: below it (less
+a rounding margin) the forwarding time is certified infinite and only
+the probe horizon is solved.  Otherwise it scans breakpoints and bisects
+inside the first crossing segment.
 
 Under the request regime the prize-collecting trees and the relocation
 centers come from the metric closure over released points (revealed
@@ -47,13 +51,20 @@ from dataclasses import dataclass
 
 from . import config
 from .instance import DelayRequest, Instance
-from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, level_le
+from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, level_le, min_level
 from .metric import MetricSpace, build_metric, complete_graph_on
-from .deadline_engine import min_level
-from .steiner import PcstSolution, pcst_approx
+from .steiner import PcstSolution, pcst_approx, steiner_approx
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
 __all__ = ["CriticalEvent", "DelayServiceRecord", "DelayTrace", "DelayEngine", "run_delay"]
+
+
+def certificate_margin(n_terminals: int, n_nodes: int, scale: float) -> float:
+    """Additive slack of ``pcst_approx`` over twice the optimum, for a
+    solve with ``n_terminals`` penalised nodes in a space of ``n_nodes``
+    nodes whose costs are at most ``scale`` (see
+    ``DelayEngine._forwarding_time``)."""
+    return (n_terminals + n_nodes + 1) * config.EPS_VAL + 1e-9 * scale
 
 
 @dataclass(frozen=True)
@@ -408,6 +419,41 @@ class DelayEngine:
         Returns (tau, solution), the solution in the node ids of ``space``;
         ``tau`` is ``inf`` when no crossing exists, in which case the
         solution serves all eligible points.
+
+        Certificate.  Let ``span`` be the cost of ``steiner_approx`` over
+        the root and the eligible points.  That tree serves every terminal,
+        so it is a zero-penalty solution at every t' and OPT(t') <= span.
+        The rooted moat growth of ``pcst_approx`` raises a dual y that is
+        feasible for the prize-collecting LP, so sum(y) <= OPT(t'), and the
+        Goemans-Williamson argument (1995) gives a pruned tree of the root's
+        forest component costing at most 2 * sum(y) plus the penalty the
+        duals leave unpaid.  Strong pruning (Johnson-Minkoff-Phillips 2000)
+        picks the best rooted subtree of that component, so it is no worse
+        up to its keep rule.  The margin ``certificate_margin(len(by_node),
+        space.n, budget)`` covers the three ways the code departs from the
+        exact argument:
+
+        - a component is active only while its surplus exceeds ``EPS_VAL``,
+          so each maximal inactive set not containing the root may leave up
+          to ``EPS_VAL`` of its penalty unpaid; these sets are disjoint and
+          each holds a terminal, so at most ``len(by_node) * EPS_VAL``;
+        - strong pruning keeps a subtree only when its benefit exceeds the
+          edge by more than ``EPS_VAL``, so by induction over the tree it
+          loses at most ``EPS_VAL`` per forest edge, ``(space.n - 1) *
+          EPS_VAL`` in all;
+        - float rounding, in the moat depths, in the surpluses (one runs
+          out only where the duals paid it, and they sum to at most
+          OPT(t')), in the ``1e-15`` event tie rule and in the final sums,
+          is relative to quantities below the budget and far under ``1e-9``
+          of it; the spare ``2 * EPS_VAL`` absorbs absolute rounding at
+          small scales.
+
+        So every probe costs at most ``2 * span + margin``, and when that is
+        below ``budget - EPS_VAL`` no probe can reach the budget: the scan
+        below would solve every probe, find no crossing and end at
+        ``evaluate(t_big)``.  The certified search solves only that last
+        probe, so its result is the same.  A larger margin only certifies
+        fewer searches, which then take the scan.
         """
         by_node: dict[int, list[int]] = {}
         for qid in eligible:
@@ -428,6 +474,7 @@ class DelayEngine:
         if not eligible:
             return t, evaluate(t)
 
+        span = steiner_approx(space, set(by_node) | {root}).cost
         w_total = space.total_weight()
         t_big = max(
             self.requests[qid].delay.first_time_at_least(
@@ -436,19 +483,23 @@ class DelayEngine:
             for qid in eligible
         )
         t_big = max(t_big, t)
-        cuts = {
-            bp_t
-            for qid in eligible
-            for bp_t, _ in self.requests[qid].delay.breakpoints
-            if t < bp_t < t_big
-        }
-        for qid in eligible:
-            # counters invested past the current delay kink the penalty there
-            tc = self.requests[qid].delay.first_time_at_least(self.counters[qid])
-            if t < tc < t_big:
-                cuts.add(tc)
+        probes: list[float] = []  # none when the certificate holds
+        margin = certificate_margin(len(by_node), space.n, budget)
+        if 2.0 * span >= budget - config.EPS_VAL - margin:
+            cuts = {
+                bp_t
+                for qid in eligible
+                for bp_t, _ in self.requests[qid].delay.breakpoints
+                if t < bp_t < t_big
+            }
+            for qid in eligible:
+                # counters invested past the current delay kink the penalty there
+                tc = self.requests[qid].delay.first_time_at_least(self.counters[qid])
+                if t < tc < t_big:
+                    cuts.add(tc)
+            probes = [t, *sorted(cuts), t_big]
         lo = t
-        for hi in [t, *sorted(cuts), t_big]:
+        for hi in probes:
             if evaluate(hi).total_cost >= budget - config.EPS_VAL:
                 break
             lo = hi

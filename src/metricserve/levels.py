@@ -10,6 +10,7 @@ the form ``2**level`` stay positive.
 import math
 
 from . import config
+from .metric import MetricSpace
 
 #: Sentinel for the unbounded-below initial level.
 BOTTOM = None
@@ -58,6 +59,11 @@ def floor_log2(x: float) -> int:
     while 2.0**k > x + eps:
         k -= 1
     return k
+
+
+def min_level(m: MetricSpace) -> int:
+    """Floor for bottom levels entering arithmetic: floor(log2 d_min) - 1."""
+    return floor_log2(m.d_min) - 1
 
 
 def distance_level(dist: float) -> Level:

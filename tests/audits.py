@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 
-from metricserve.deadline_engine import min_level
-from metricserve.levels import BOTTOM, adjusted_level, clamp_bottom
+from metricserve.levels import BOTTOM, adjusted_level, clamp_bottom, min_level
 
 
 def audit_deadline_trace(inst, trace, m) -> int:

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from metricserve.deadline_engine import DeadlineEngine, min_level, run_deadline
+from metricserve.deadline_engine import DeadlineEngine, run_deadline
 from metricserve.instance import DeadlineRequest, Instance, generate
-from metricserve.levels import BOTTOM, adjusted_level, ceil_log2
+from metricserve.levels import BOTTOM, adjusted_level, ceil_log2, min_level
 from metricserve.metric import build_metric
 
 

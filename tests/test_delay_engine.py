@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from metricserve.deadline_engine import min_level
 from metricserve.delay_engine import DelayEngine, run_delay
 from metricserve.instance import DelayFunction, DelayRequest, Instance, generate
+from metricserve.levels import min_level
 from metricserve.metric import WeightedGraph, build_metric
 
 from conftest import random_graph
@@ -351,3 +351,119 @@ def test_forwarding_search_solves_each_probe_once(monkeypatch):
         searches.clear()
         assert render("run", path) == golden_path("run", path).read_text()
         assert searches and all(len(s) == len(set(s)) for s in searches), path.name
+
+
+def _seeded_delay_runs():
+    """(instance, request_regime) for 100 small seeded delay instances in
+    both regimes, plus the budget-crossing constructions in the default
+    regime: investment_star with 50 and 120 leaves and the certification
+    chain."""
+    from metricserve.instance import delay_certification_chain, investment_star
+
+    rng = random.Random(6060)
+    runs = []
+    for _ in range(100):
+        inst = generate(
+            seed=rng.randrange(10**9),
+            n_points=rng.randint(2, 14),
+            n_requests=rng.randint(1, 24),
+            mode="delay",
+        )
+        runs += [(inst, False), (inst, True)]
+    extra = [investment_star(50), investment_star(120), delay_certification_chain()]
+    return runs + [(inst, False) for inst in extra]
+
+
+def test_traces_unchanged_with_forwarding_certificate_off(monkeypatch):
+    """An infinite Steiner bound certifies no forwarding search, so every
+    search scans its probes.  Every delay golden still matches, and the
+    seeded runs give the same trace with the certificate on and off."""
+    import metricserve.delay_engine as engine_module
+    from golden_traces import cases, golden_path, render
+    from metricserve.instance import parse_instance
+    from metricserve.steiner import SteinerSolution
+
+    runs = _seeded_delay_runs()
+    with_certificate = [run_delay(inst, request_regime=rr).to_json() for inst, rr in runs]
+    def no_bound(space, terminals):
+        return SteinerSolution(frozenset(), math.inf)
+
+    monkeypatch.setattr(engine_module, "steiner_approx", no_bound)
+    goldens = [
+        (c, p) for c, p in cases()
+        if c.startswith("run") and parse_instance(p.read_text()).mode == "delay"
+    ]
+    assert goldens
+    for command, path in goldens:
+        assert render(command, path) == golden_path(command, path).read_text(), path.name
+    for (inst, rr), want in zip(runs, with_certificate):
+        assert run_delay(inst, request_regime=rr).to_json() == want
+
+
+def test_certified_search_solves_once(monkeypatch):
+    """A forwarding search whose Steiner bound certifies tau = inf solves one
+    prize-collecting problem, at the probe horizon.  On investment_star(120)
+    some search is not certified and bisects, so the scan stays covered."""
+    import metricserve.delay_engine as engine_module
+    from metricserve import config
+    from metricserve.delay_engine import certificate_margin
+    from metricserve.instance import investment_star
+    from metricserve.steiner import pcst_approx, steiner_approx
+
+    searches = []
+    real_search = DelayEngine._forwarding_time
+    real_value = DelayFunction.value
+
+    def search(self, space, eligible, root, budget, t):
+        rec = {"n": space.n, "budget": budget, "span": None, "terminals": None,
+               "solves": 0, "times": []}
+        searches.append(rec)
+        rec["tau"], solution = real_search(self, space, eligible, root, budget, t)
+        rec["done"] = True
+        return rec["tau"], solution
+
+    def span(space, terminals):
+        sol = steiner_approx(space, terminals)
+        searches[-1]["span"] = sol.cost
+        return sol
+
+    def solve(space, terminals, penalties, root):
+        searches[-1]["solves"] += 1
+        searches[-1]["terminals"] = len(terminals)
+        return pcst_approx(space, terminals, penalties, root)
+
+    def value(fn, t):
+        # inside a search only the probes evaluate delays
+        if searches and "done" not in searches[-1]:
+            searches[-1]["times"].append(t)
+        return real_value(fn, t)
+
+    monkeypatch.setattr(DelayEngine, "_forwarding_time", search)
+    monkeypatch.setattr(engine_module, "steiner_approx", span)
+    monkeypatch.setattr(engine_module, "pcst_approx", solve)
+    monkeypatch.setattr(DelayFunction, "value", value)
+
+    def certified(rec):
+        margin = certificate_margin(rec["terminals"], rec["n"], rec["budget"])
+        return 2.0 * rec["span"] < rec["budget"] - config.EPS_VAL - margin
+
+    star = investment_star(120)
+    for inst in [star] + [
+        generate(seed=s, n_points=30, n_requests=40, mode="delay") for s in (31, 32, 33)
+    ]:
+        searches.clear()
+        run_delay(inst)
+        assert searches and all(rec["span"] is not None for rec in searches)
+        hits = [rec for rec in searches if certified(rec)]
+        assert hits
+        for rec in hits:
+            assert rec["solves"] == 1 and rec["tau"] == math.inf
+        if inst is star:
+            # the probe scan runs in increasing time, so a probe earlier
+            # than its predecessor is a bisection step
+            assert any(
+                not certified(rec)
+                and math.isfinite(rec["tau"])
+                and any(b < a for a, b in zip(rec["times"], rec["times"][1:]))
+                for rec in searches
+            )

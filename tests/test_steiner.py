@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from metricserve import config
+from metricserve.delay_engine import certificate_margin
 from metricserve.metric import build_metric, complete_graph_on
 from metricserve.steiner import (
     PcstSolution,
@@ -184,6 +185,61 @@ def test_pcst_ratio_bound():
         assert approx.total_cost <= 3 * exact.total_cost + 1e-9
         assert _acyclic(approx.tree_edges)
         assert _connects(approx.tree_edges, approx.served | {root})
+
+
+def _certificate_case(rng, i, max_n):
+    """A seeded rooted PCST case for the delay engine's factor-2 certificate:
+    a sparse integer-weight, random-weight or metric-closure space, penalty
+    scales from 0 to 1e6, and the root inside or outside the terminals."""
+    n = rng.randint(2, max_n)
+    kind = i % 3
+    if kind == 0:
+        m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(n), weight_range=(1, 4),
+                                      integer_weights=True))
+    elif kind == 1:
+        m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(n)))
+    else:
+        base = build_metric(random_graph(rng, n + 3, extra_edges=rng.randrange(4),
+                                         weight_range=(1, 5), integer_weights=True))
+        m = complete_graph_on(base, rng.sample(range(n + 3), n))
+    root = rng.randrange(n)
+    terminals = set(rng.sample(range(n), rng.randint(1, n)))
+    if (i // 3) % 2:
+        terminals.add(root)
+    else:
+        terminals.discard(root)
+    scale = [0.0, 1e-3, 1.0, 10.0, 1e3, 1e6][(i // 6) % 6]
+    mode = (i // 36) % 3
+    if mode == 0:
+        pen = {t: rng.uniform(0.0, scale) for t in terminals}
+    elif mode == 1:
+        pen = {t: rng.randint(0, 4) * scale for t in terminals}
+    else:
+        pen = {t: rng.choice([0.0, scale]) for t in terminals}
+    return m, terminals, pen, root
+
+
+def test_pcst_approx_within_twice_exact_plus_engine_margin():
+    """pcst_approx <= 2 * pcst_exact + the delay engine's certificate margin
+    on 300 seeded cases with n <= 9."""
+    rng = random.Random(61)
+    for i in range(300):
+        m, terminals, pen, root = _certificate_case(rng, i, 9)
+        exact = pcst_exact(m, terminals, pen, root).total_cost
+        approx = pcst_approx(m, terminals, pen, root).total_cost
+        assert approx <= 2 * exact + certificate_margin(len(terminals), m.n, 2 * exact), i
+
+
+def test_pcst_approx_within_twice_spanning_tree_plus_engine_margin():
+    """pcst_approx <= 2 * steiner_approx(terminals | {root}) + the margin on
+    1000 seeded cases with n <= 30: the bound the delay engine's
+    forwarding-time certificate rests on."""
+    rng = random.Random(67)
+    for i in range(1000):
+        m, terminals, pen, root = _certificate_case(rng, i, 30)
+        span = steiner_approx(m, terminals | {root}).cost
+        approx = pcst_approx(m, terminals, pen, root).total_cost
+        assert approx <= 2 * span + certificate_margin(len(terminals), m.n, 2 * span), i
 
 
 def test_pcst_exact_monotone_in_penalties():
