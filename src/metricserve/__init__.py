@@ -9,6 +9,10 @@ Library layout:
   oracles for testing).
 - :mod:`metricserve.instance` -- request/instance model, JSON format,
   seeded generators.
+- :mod:`metricserve.config` -- shared numeric tolerances.
+- :mod:`metricserve.levels` -- integer levels with a bottom element.
+- :mod:`metricserve.walks` -- walk expansion, walk costs, tree tours.
+- :mod:`metricserve.engine` -- state both online engines share.
 - :mod:`metricserve.deadline_engine` -- deadline-triggered online
   service runs.
 - :mod:`metricserve.delay_engine` -- residual-delay-triggered online

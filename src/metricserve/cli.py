@@ -71,6 +71,10 @@ def _run_trace(inst: Instance, request_regime: bool, horizon: float | None):
     return run_delay(inst, request_regime=request_regime, horizon=horizon)
 
 
+def _opt_trace(inst: Instance):
+    return opt_deadline(inst) if inst.mode == "deadline" else opt_delay(inst)
+
+
 def _cmd_run(args) -> int:
     inst = _load_instance(args.instance)
     if args.mode != "auto" and args.mode != inst.mode:
@@ -96,7 +100,7 @@ def _cmd_run(args) -> int:
 def _cmd_opt(args) -> int:
     inst = _load_instance(args.instance)
     try:
-        trace = opt_deadline(inst) if inst.mode == "deadline" else opt_delay(inst)
+        trace = _opt_trace(inst)
     except OracleCapError as exc:
         raise _UsageError(str(exc)) from exc
     if args.trace:
@@ -119,7 +123,7 @@ def _cmd_verify(args) -> int:
     m = build_metric(inst.graph)
     trace = _run_trace(inst, args.request_regime, args.horizon)
     try:
-        opt = opt_deadline(inst) if inst.mode == "deadline" else opt_delay(inst)
+        opt = _opt_trace(inst)
     except OracleCapError as exc:
         raise _UsageError(str(exc)) from exc
     report = charge_report(inst, m, trace, opt)
@@ -175,7 +179,7 @@ def _report_row(path: str) -> tuple[dict, dict[int, int]]:
         "max_level": max((s.level for s in trace.services), default=""),
     }
     try:
-        opt = opt_deadline(inst) if inst.mode == "deadline" else opt_delay(inst)
+        opt = _opt_trace(inst)
         row["opt_cost"] = f"{opt.total_cost:.9g}"
         if opt.total_cost > 0:
             row["ratio"] = f"{trace.total_cost / opt.total_cost:.9g}"

@@ -19,27 +19,20 @@ expansions are memoised on the metric and live as long as it does.
 The walk rule fixes what the tour leaves open: start -> trigger, DFS of
 the tree from the trigger with children by ascending node id, back to
 the trigger, back to the start, then the optional relocation hop.
-
-Under the request regime the Steiner trees are grown in the metric
-closure over released points (revealed request points plus the start),
-so tree hops join released points only; the closure is rebuilt only when
-a reveal adds a point.
-
-The engine object only ever sees requests that have been revealed to it;
-the runner feeds releases in time order, so decisions cannot depend on
-the future.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import config
-from .instance import DeadlineRequest, Instance, distinct_deadlines_normalize
-from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, level_le, min_level
-from .metric import MetricSpace, build_metric, complete_graph_on
+from .engine import EngineCore, requests_doc
+from .instance import Instance, distinct_deadlines_normalize
+from .levels import clamp_bottom, level_le
+from .metric import build_metric
+from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
 from .steiner import steiner_approx
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
@@ -62,20 +55,7 @@ class ServiceRecord:
     end_position: int
 
     def to_doc(self) -> dict:
-        return {
-            "service_id": self.service_id,
-            "time": self.time,
-            "level": self.level,
-            "start_position": self.start_position,
-            "trigger_id": self.trigger_id,
-            "primary": self.primary,
-            "eligible_ids": list(self.eligible_ids),
-            "served_ids": list(self.served_ids),
-            "forwarding_time": self.forwarding_time,
-            "walk": list(self.walk),
-            "cost": self.cost,
-            "end_position": self.end_position,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -93,47 +73,13 @@ class DeadlineTrace:
             "total_cost": self.total_cost,
             "final_position": self.final_position,
             "services": [s.to_doc() for s in self.services],
-            "requests": {
-                str(qid): {
-                    "service_time": self.service_time[qid],
-                    "serving_service": self.serving_service[qid],
-                }
-                for qid in sorted(self.service_time)
-            },
+            "requests": requests_doc(self.service_time, self.serving_service),
         }
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-class DeadlineEngine:
-    """Online state: revealed pending requests, their levels, the server."""
-
-    def __init__(self, m: MetricSpace, start: int, request_regime: bool = False):
-        self.m = m
-        self.position = start
-        self.request_regime = request_regime
-        self.released = {start}  # points of revealed requests, plus the start
-        self._space: MetricSpace | None = None
-        self.level_floor = min_level(m)
-        self.levels: dict[int, Level] = {}
-        self.requests: dict[int, DeadlineRequest] = {}
-        self.pending: set[int] = set()
-        self.records: list[ServiceRecord] = []
-        self.service_time: dict[int, float] = {}
-        self.serving_service: dict[int, int] = {}
-
-    # -- online interface ---------------------------------------------------
-
-    def reveal(self, q: DeadlineRequest) -> None:
-        self.requests[q.id] = q
-        self.levels[q.id] = BOTTOM
-        self.pending.add(q.id)
-        if q.point not in self.released:
-            self.released.add(q.point)
-            self._space = None
-
-    def adjusted_level_of(self, qid: int) -> Level:
-        q = self.requests[qid]
-        return adjusted_level(self.levels[qid], self.m.distance(self.position, q.point))
+class DeadlineEngine(EngineCore):
+    """Deadline-mode online state; ``upon_deadline`` performs a service."""
 
     def upon_deadline(self, qid: int) -> ServiceRecord:
         if qid not in self.pending:
@@ -171,11 +117,7 @@ class DeadlineEngine:
         walk = expand_hops(self.m, hops)
         cost = walk_cost(self.m, walk)
 
-        sid = len(self.records)
-        for rid in chosen:
-            self.pending.discard(rid)
-            self.service_time[rid] = t
-            self.serving_service[rid] = sid
+        sid = self.serve(chosen, t)
         for rid in eligible:
             if rid not in chosen:
                 self.levels[rid] = service_level + 1
@@ -197,16 +139,6 @@ class DeadlineEngine:
         )
         self.records.append(record)
         return record
-
-    def space(self) -> MetricSpace:
-        """The metric the Steiner trees are grown in: the graph metric, or
-        under the request regime the closure over released points, built
-        once per released set."""
-        if self._space is None:
-            self._space = (
-                complete_graph_on(self.m, self.released) if self.request_regime else self.m
-            )
-        return self._space
 
 
 def run_deadline(inst: Instance, request_regime: bool = False) -> DeadlineTrace:

@@ -36,10 +36,6 @@ over the root and the eligible points with the budget: below it (less
 a rounding margin) the forwarding time is certified infinite and only
 the probe horizon is solved.  Otherwise it scans breakpoints and bisects
 inside the first crossing segment.
-
-Under the request regime the prize-collecting trees and the relocation
-centers come from the metric closure over released points (revealed
-request points plus the start), rebuilt only when a reveal adds a point.
 """
 
 from __future__ import annotations
@@ -47,12 +43,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import config
+from .engine import EngineCore, requests_doc
 from .instance import DelayRequest, Instance
-from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, level_le, min_level
-from .metric import MetricSpace, build_metric, complete_graph_on
+from .levels import BOTTOM, clamp_bottom, level_le
+from .metric import MetricSpace, build_metric
+from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
 from .steiner import PcstSolution, pcst_approx, steiner_approx
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
@@ -96,29 +94,14 @@ class DelayServiceRecord:
     end_position: int
 
     def to_doc(self) -> dict:
-        return {
-            "service_id": self.service_id,
-            "time": self.time,
-            "level": self.level,
-            "start_position": self.start_position,
-            "trigger_ids": list(self.trigger_ids),
-            "primary": self.primary,
-            "relocation_target": self.relocation_target,
-            "eligible_ids": list(self.eligible_ids),
-            "served_ids": list(self.served_ids),
-            # null marks a service whose prize-collecting cost never reaches
-            # the budget (it serves every eligible request)
-            "forwarding_time": self.forwarding_time
-            if math.isfinite(self.forwarding_time)
-            else None,
-            "reset_increment": self.reset_increment,
-            "invest_increment": self.invest_increment,
-            "counter_increments": {str(k): v for k, v in sorted(self.counter_increments.items())},
-            "walk": list(self.walk),
-            "movement_cost": self.movement_cost,
-            "cost": self.cost,
-            "end_position": self.end_position,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}  # no deep copy, unlike asdict
+        del doc["trigger_residuals"], doc["eligible_ctr_before"]  # for the charge report only
+        # null marks a service whose prize-collecting cost never reaches
+        # the budget (it serves every eligible request)
+        if not math.isfinite(self.forwarding_time):
+            doc["forwarding_time"] = None
+        doc["counter_increments"] = {str(k): v for k, v in sorted(self.counter_increments.items())}
+        return doc
 
 
 @dataclass(frozen=True)
@@ -146,51 +129,23 @@ class DelayTrace:
             "pending_ids": list(self.pending_ids),
             "counters": {str(k): v for k, v in sorted(self.counters.items())},
             "services": [s.to_doc() for s in self.services],
-            "requests": {
-                str(qid): {
-                    "service_time": self.service_time[qid],
-                    "serving_service": self.serving_service[qid],
-                }
-                for qid in sorted(self.service_time)
-            },
+            "requests": requests_doc(self.service_time, self.serving_service),
         }
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-class DelayEngine:
+class DelayEngine(EngineCore):
     def __init__(self, m: MetricSpace, start: int, request_regime: bool = False):
-        self.m = m
-        self.position = start
-        self.request_regime = request_regime
-        self.released = {start}  # points of revealed requests, plus the start
-        self._space: MetricSpace | None = None
-        self.level_floor = min_level(m)
-        self.requests: dict[int, DelayRequest] = {}
-        self.levels: dict[int, Level] = {}
+        super().__init__(m, start, request_regime)
         self.counters: dict[int, float] = {}
-        self.pending: set[int] = set()
-        self.records: list[DelayServiceRecord] = []
-        self.service_time: dict[int, float] = {}
-        self.serving_service: dict[int, int] = {}
-
-    # -- online interface ---------------------------------------------------
 
     def reveal(self, q: DelayRequest) -> None:
-        self.requests[q.id] = q
-        self.levels[q.id] = BOTTOM
+        super().reveal(q)
         self.counters[q.id] = 0.0
-        self.pending.add(q.id)
-        if q.point not in self.released:
-            self.released.add(q.point)
-            self._space = None
 
     def residual(self, qid: int, t: float) -> float:
         y = self.requests[qid].delay.value(t)
         return max(y - self.counters[qid], 0.0)
-
-    def adjusted_level_of(self, qid: int) -> Level:
-        q = self.requests[qid]
-        return adjusted_level(self.levels[qid], self.m.distance(self.position, q.point))
 
     def clamped_alevel(self, qid: int) -> int:
         return clamp_bottom(self.adjusted_level_of(qid), self.level_floor)
@@ -367,11 +322,7 @@ class DelayEngine:
         walk = expand_hops(self.m, hops)
         movement = walk_cost(self.m, walk)
 
-        sid = len(self.records)
-        for qid in served:
-            self.pending.discard(qid)
-            self.service_time[qid] = t
-            self.serving_service[qid] = sid
+        sid = self.serve(served, t)
         if relocation is not None:
             self.position = relocation
 
@@ -400,16 +351,6 @@ class DelayEngine:
         return record
 
     # -- internals ------------------------------------------------------------
-
-    def space(self) -> MetricSpace:
-        """The metric prize-collecting trees and relocation centers come from:
-        the graph metric, or under the request regime the closure over
-        released points, built once per released set."""
-        if self._space is None:
-            self._space = (
-                complete_graph_on(self.m, self.released) if self.request_regime else self.m
-            )
-        return self._space
 
     def _forwarding_time(
         self, space: MetricSpace, eligible: list[int], root: int, budget: float, t: float

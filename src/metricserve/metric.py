@@ -209,7 +209,8 @@ def build_metric(g: WeightedGraph) -> MetricSpace:
     for u in adj:
         adj[u].sort()
     for k in range(n):
-        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+        # in place: row and column k do not change in round k (dist[k, k] == 0)
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     if np.isinf(dist).any():
         bad = int(np.argwhere(np.isinf(dist))[0][1])
         raise DisconnectedGraphError(f"graph is disconnected: node {bad} unreachable")

@@ -240,28 +240,6 @@ def test_trace_json_stable():
     assert set(doc) == {"mode", "total_cost", "final_position", "services", "requests"}
 
 
-def test_request_regime_builds_one_closure_per_released_set(monkeypatch):
-    import metricserve.deadline_engine as engine_module
-    from golden_traces import GOLDEN, INSTANCES
-    from metricserve.instance import parse_instance
-    from metricserve.metric import complete_graph_on
-
-    built = []
-
-    def counting(m, points):
-        built.append(frozenset(points))
-        return complete_graph_on(m, points)
-
-    monkeypatch.setattr(engine_module, "complete_graph_on", counting)
-    for golden in sorted((GOLDEN / "run-request-regime").glob("deadline-*.json")):
-        built.clear()
-        inst = parse_instance((INSTANCES / golden.name).read_text())
-        trace = run_deadline(inst, request_regime=True)
-        assert built and len(built) == len(set(built))
-        assert len(built) <= len({q.point for q in inst.requests} | {inst.server_start})
-        assert trace.to_json() == golden.read_text()
-
-
 def test_deadline_run_expands_each_path_once(monkeypatch):
     """A run on a benchmark-size input walks no shortest path twice: the
     metric memoises every expansion.  The trace stays the golden one."""

@@ -299,28 +299,6 @@ def test_trace_json_roundtrip_stable():
     assert a == b
 
 
-def test_request_regime_builds_one_closure_per_released_set(monkeypatch):
-    import metricserve.delay_engine as engine_module
-    from golden_traces import GOLDEN, INSTANCES
-    from metricserve.instance import parse_instance
-    from metricserve.metric import complete_graph_on
-
-    built = []
-
-    def counting(m, points):
-        built.append(frozenset(points))
-        return complete_graph_on(m, points)
-
-    monkeypatch.setattr(engine_module, "complete_graph_on", counting)
-    for golden in sorted((GOLDEN / "run-request-regime").glob("delay-*.json")):
-        built.clear()
-        inst = parse_instance((INSTANCES / golden.name).read_text())
-        trace = run_delay(inst, request_regime=True)
-        assert built and len(built) == len(set(built))
-        assert len(built) <= len({q.point for q in inst.requests} | {inst.server_start})
-        assert trace.to_json() == golden.read_text()
-
-
 def test_forwarding_search_solves_each_probe_once(monkeypatch):
     """No forwarding-time search solves the same prize-collecting problem
     twice: probing one time twice would repeat its penalties.  The traces

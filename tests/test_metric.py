@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from metricserve.metric import (
@@ -65,6 +66,26 @@ def test_distances_match_floyd_oracle():
         for i in range(8):
             for j in range(8):
                 assert m.distance(i, j) == oracle[i][j]
+
+
+def test_in_place_relaxation_matches_out_of_place_loop():
+    """Relaxing in place gives bit-identical distances to allocating a new
+    matrix each round, on graphs whose weights span 1e-3 to 1e3."""
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(5, 120)
+        tree = random_graph(rng, n, extra_edges=rng.randrange(2 * n))
+        g = WeightedGraph(
+            node_count=n,
+            edges=tuple((u, v, w * 10.0 ** rng.uniform(-3, 2)) for u, v, w in tree.edges),
+        )
+        ref = np.full((n, n), np.inf)
+        np.fill_diagonal(ref, 0.0)
+        for u, v, w in g.edges:
+            ref[u, v] = ref[v, u] = w
+        for k in range(n):
+            ref = np.minimum(ref, ref[:, k, None] + ref[None, k, :])
+        assert np.array_equal(build_metric(g).dist, ref)
 
 
 def test_triangle_inequality_exhaustive():
