@@ -3,8 +3,9 @@
 ``tests/golden/`` holds, for every ``corpus/*.json``, the ``run --trace``
 JSON in both regimes and the ``opt --trace`` JSON, plus runs of a few
 instances at benchmark sizes: request-regime runs of seeded instances,
-and default-regime runs of seeded delay and deadline instances and an
-``investment_star``.  Those inputs are stored under
+default-regime runs of seeded delay and deadline instances and an
+``investment_star``, and ``opt`` traces of seeded instances at the
+oracle sizes of the ``verify-oracle`` workload.  Those inputs are stored under
 ``tests/golden/instances/`` so the gate does not depend on the
 generator.  ``tests/test_golden.py`` compares every file byte for byte.
 
@@ -51,6 +52,17 @@ SEEDED_RUN = [
 ]
 STAR_LEAVES = 120
 
+# (mode, n_points, n_requests, seed): the verify-oracle benchmark sizes,
+# whose opt traces run the exact oracles at or near their request caps
+SEEDED_OPT = [
+    ("deadline", 10, 12, 51),
+    ("deadline", 10, 12, 52),
+    ("deadline", 10, 12, 53),
+    ("delay", 10, 8, 61),
+    ("delay", 10, 8, 62),
+    ("delay", 10, 8, 63),
+]
+
 # command name -> extra CLI arguments
 COMMANDS = {
     "run": ["run"],
@@ -69,7 +81,7 @@ def stored_instances() -> dict[str, Instance]:
         seeded_name(mode, n, m, seed): generate(
             seed=seed, n_points=n, n_requests=m, mode=mode
         )
-        for mode, n, m, seed in SEEDED + SEEDED_RUN
+        for mode, n, m, seed in SEEDED + SEEDED_RUN + SEEDED_OPT
     }
     out[f"investment_star-{STAR_LEAVES}"] = investment_star(STAR_LEAVES)
     return out
@@ -83,6 +95,7 @@ def cases() -> list[tuple[str, Path]]:
     ]
     out += [("run", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_RUN]
     out += [("run", INSTANCES / f"investment_star-{STAR_LEAVES}.json")]
+    out += [("opt", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_OPT]
     return out
 
 
