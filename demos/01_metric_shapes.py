@@ -25,7 +25,7 @@ m = build_metric(g)
 print("distance matrix:")
 print(m.dist)
 print(f"smallest positive distance: {m.d_min}")
-print(f"aspect ratio: {m.aspect_ratio():.3f}")
+print(f"aspect ratio: {float(m.dist.max()) / m.d_min:.3f}")
 
 for r in (0.0, 1.0, 2.5, 4.0):
     pts = sorted(ball_points(m, 1, r))

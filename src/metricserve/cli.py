@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import glob as globlib
 import json
 import sys
@@ -218,6 +219,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state between calls; build once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metricserve",

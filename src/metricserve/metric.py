@@ -151,9 +151,6 @@ class MetricSpace:
     def total_weight(self) -> float:
         return float(sum(self._edge_weight.values()))
 
-    def aspect_ratio(self) -> float:
-        return float(self.dist.max()) / self.d_min if self.n > 1 else 1.0
-
     def shortest_path_nodes(self, u: int, v: int) -> list[int]:
         """Lexicographically smallest shortest path from u to v, as nodes."""
         path = [u]

@@ -21,13 +21,31 @@ only at release times, and a DP over (release event, server position,
 served subset) with exact intra-batch walks is exact.  The tests
 cross-check it against exhaustive enumeration of batch assignments and
 visit orders.
+
+Evaluation order
+----------------
+A candidate replaces the incumbent only if it is cheaper by more than
+1e-15, so the order in which candidates are tried breaks ties and fixes
+the trace.  The reference order is the scalar push loop: masks, then
+``last``, then ``nxt``, all ascending.  A target ``(mask | 1 << nxt,
+nxt)`` has one predecessor mask, and popcount layer p writes only into
+layer p + 1, so the push loop offers each target its candidates by
+``last`` ascending.  ``opt_deadline`` pulls in that order: per layer it
+lists every target in numpy and sweeps ``last = 0 .. k-1`` under the same
+strict rule, giving the same cost and parent tables.  The batch walks of
+``opt_delay`` stay a scalar push loop over precomputed tables: batches
+hold at most eight points, mostly two to five, too few for numpy's
+per-call overhead to pay off.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import config
 from .instance import Instance
@@ -120,47 +138,48 @@ def opt_deadline(inst: Instance) -> OptTrace:
     if not reqs:
         return OptTrace("deadline", inst.server_start, (), 0.0, 0.0, {})
     k = len(reqs)
-    full = (1 << k) - 1
-    release = [q.release for q in reqs]
-    deadline = [q.deadline for q in reqs]
+    release = np.array([q.release for q in reqs])
+    deadline = np.array([q.deadline for q in reqs])
     point = [q.point for q in reqs]
+    d = m.dist[np.ix_(point, point)]
 
-    completion = [0.0] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        completion[mask] = max(completion[mask ^ low], release[low.bit_length() - 1])
-
-    INF = math.inf
-    cost = [[INF] * k for _ in range(1 << k)]
-    parent: list[list[int]] = [[-1] * k for _ in range(1 << k)]
+    # completion[mask] = max(0, releases in mask)
+    completion = np.zeros(1)
     for i in range(k):
-        # the first visit happens at max(release_i, -inf) = release_i
-        if release[i] <= deadline[i] + config.EPS_TIME:
-            cost[1 << i][i] = m.distance(inst.server_start, point[i])
-    for mask in range(1, 1 << k):
+        completion = np.concatenate([completion, np.maximum(completion, release[i])])
+    bit = 1 << np.arange(k)
+
+    # by popcount layer: cost[r] is masks[r]'s row; unreached masks (all inf) are left out
+    parent = np.full((1 << k, k), -1, dtype=np.int8)
+    # the first visit happens at max(release_i, -inf) = release_i
+    first = np.flatnonzero(release <= deadline + config.EPS_TIME)
+    masks = bit[first]
+    cost = np.full((len(first), k), np.inf)
+    cost[np.arange(len(first)), first] = m.dist[inst.server_start, point][first]
+    for _ in range(1, k):
+        ok = (masks[:, None] & bit) == 0
+        ok &= np.maximum(completion[masks][:, None], release) <= deadline + config.EPS_TIME
+        row, nxt = np.nonzero(ok)
+        best = np.full(len(row), np.inf)
+        arg = np.full(len(row), -1, dtype=np.int8)
         for last in range(k):
-            c = cost[mask][last]
-            if c == INF or not mask & (1 << last):
-                continue
-            t_done = completion[mask]
-            for nxt in range(k):
-                if mask & (1 << nxt):
-                    continue
-                if max(t_done, release[nxt]) > deadline[nxt] + config.EPS_TIME:
-                    continue
-                nmask = mask | (1 << nxt)
-                nc = c + m.distance(point[last], point[nxt])
-                if nc < cost[nmask][nxt] - 1e-15:
-                    cost[nmask][nxt] = nc
-                    parent[nmask][nxt] = last
-    best_last = min(range(k), key=lambda i: (cost[full][i], i))
-    assert cost[full][best_last] < INF, "deadline instances are always feasible"
+            cand = cost[row, last] + d[last, nxt]
+            better = cand < best - 1e-15
+            best = np.where(better, cand, best)
+            arg = np.where(better, last, arg)
+        tgt = masks[row] | bit[nxt]
+        parent[tgt, nxt] = arg
+        masks, at = np.unique(tgt, return_inverse=True)
+        cost = np.full((len(masks), k), np.inf)
+        cost[at, nxt] = best
+    assert len(masks) == 1, "deadline instances are always feasible"
+    best_last = min(range(k), key=lambda i: (cost[0, i], i))
 
     order = []
-    mask, last = full, best_last
+    mask, last = (1 << k) - 1, best_last
     while last != -1:
         order.append(last)
-        mask, last = mask ^ (1 << last), parent[mask][last]
+        mask, last = mask ^ (1 << last), int(parent[mask, last])
     order.reverse()
 
     events = []
@@ -169,20 +188,13 @@ def opt_deadline(inst: Instance) -> OptTrace:
     movement = 0.0
     service_time: dict[int, float] = {}
     for i in order:
-        t = max(t, release[i])
+        t = max(t, reqs[i].release)
         walk = m.shortest_path_nodes(pos, point[i])
         movement += walk_cost(m, walk)
         events.append(OptEvent(time=t, walk=tuple(walk), served_ids=(reqs[i].id,)))
         service_time[reqs[i].id] = t
         pos = point[i]
-    return OptTrace(
-        mode="deadline",
-        start=inst.server_start,
-        events=tuple(events),
-        movement_cost=movement,
-        delay_cost=0.0,
-        service_time=service_time,
-    )
+    return OptTrace("deadline", inst.server_start, tuple(events), movement, 0.0, service_time)
 
 
 # ---------------------------------------------------------------------------
@@ -190,52 +202,66 @@ def opt_deadline(inst: Instance) -> OptTrace:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # at most 2 ** _DELAY_CAP entries
+def _submasks(mask: int) -> tuple[int, ...]:
+    """Every submask of ``mask``, descending."""
+    return tuple(s for s in range(mask, -1, -1) if s & mask == s)
+
+
+@functools.cache
+def _subset_moves(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+    """Per mask over k points: its members ascending, and each
+    ``(nxt, mask | 1 << nxt)`` for nxt outside it, ascending."""
+    moves = []
+    for mask in range(1 << k):
+        inside = tuple(i for i in range(k) if mask >> i & 1)
+        moves.append((inside, tuple((i, mask | 1 << i) for i in range(k) if i not in inside)))
+    return tuple(moves)
+
+
 class _BatchWalks:
     """Cheapest walks through point sets by bitmask DP, with order recovery."""
 
-    def __init__(self, m: MetricSpace):
-        self.m = m
-        self.memo: dict[tuple[int, tuple[int, ...]], dict[int, float]] = {}
-        self.orders: dict[tuple[int, tuple[int, ...], int], tuple[int, ...]] = {}
+    def __init__(self, m: MetricSpace, points):
+        # distance rows of every possible walk start and stop, as floats
+        self.rows = {u: m.dist[u].tolist() for u in points}
+        # the empty batch: stay put at no cost
+        self.memo = {(u, ()): [(u, 0.0, ())] for u in points}
 
-    def end_costs(self, start: int, pts: tuple[int, ...]) -> dict[int, float]:
+    def walks(self, start: int, pts: tuple[int, ...]) -> list[tuple[int, float, tuple[int, ...]]]:
+        """``(end, cost, visit order)`` of the cheapest walk from ``start``
+        through all of ``pts`` that ends at each of them, in ``pts`` order."""
         key = (start, pts)
-        if key in self.memo:
-            return self.memo[key]
+        out = self.memo.get(key)
+        if out is not None:
+            return out
         k = len(pts)
+        dd = [[self.rows[a][b] for b in pts] for a in pts]
         dp = [[math.inf] * k for _ in range(1 << k)]
-        par = [[None] * k for _ in range(1 << k)]
+        par = [[-1] * k for _ in range(1 << k)]
         for i in range(k):
-            dp[1 << i][i] = self.m.distance(start, pts[i])
-        for mask in range(1, 1 << k):
-            for last in range(k):
-                c = dp[mask][last]
-                if c == math.inf or not mask & (1 << last):
+            dp[1 << i][i] = self.rows[start][pts[i]]
+        for mask, (lasts, targets) in enumerate(_subset_moves(k)):
+            row = dp[mask]
+            for last in lasts:
+                c = row[last]
+                if c == math.inf:
                     continue
-                for nxt in range(k):
-                    if mask & (1 << nxt):
-                        continue
-                    nc = c + self.m.distance(pts[last], pts[nxt])
-                    nmask = mask | (1 << nxt)
+                dl = dd[last]
+                for nxt, nmask in targets:
+                    nc = c + dl[nxt]
                     if nc < dp[nmask][nxt] - 1e-15:
                         dp[nmask][nxt] = nc
                         par[nmask][nxt] = last
-        full = (1 << k) - 1
-        out = {}
+        out = self.memo[key] = []
         for i in range(k):
-            out[pts[i]] = dp[full][i]
             seq = []
-            mask, last = full, i
-            while last is not None:
+            mask, last = (1 << k) - 1, i
+            while last != -1:
                 seq.append(pts[last])
                 mask, last = mask ^ (1 << last), par[mask][last]
-            self.orders[(start, pts, pts[i])] = tuple(reversed(seq))
-        self.memo[key] = out
+            out.append((pts[i], dp[-1][i], tuple(reversed(seq))))
         return out
-
-    def order(self, start: int, pts: tuple[int, ...], end: int) -> tuple[int, ...]:
-        self.end_costs(start, pts)
-        return self.orders[(start, pts, end)]
 
 
 def opt_delay(inst: Instance) -> OptTrace:
@@ -258,48 +284,40 @@ def opt_delay(inst: Instance) -> OptTrace:
         for i, q in enumerate(reqs):
             if q.release <= t + config.EPS_TIME:
                 released_mask[j] |= 1 << i
-    walks = _BatchWalks(m)
+    walks = _BatchWalks(m, {inst.server_start} | {q.point for q in reqs})
     full = (1 << k) - 1
+    batch_pts: dict[int, tuple[int, ...]] = {}
 
-    # states[(position, served_mask)] = (cost, parent_key, batch, batch_end)
+    # states[(position, served_mask)] = cost; back[j][state] = (parent, batch, order)
     states: dict[tuple[int, int], float] = {(inst.server_start, 0): 0.0}
-    back: dict[tuple[int, tuple[int, int]], tuple] = {}
+    back: list[dict[tuple[int, int], tuple]] = []
     for j in range(n_ev):
         nxt: dict[tuple[int, int], float] = {}
-
-        def consider(key, cost, parent_key, batch, order):
-            if cost < nxt.get(key, math.inf) - 1e-15:
-                nxt[key] = cost
-                back[(j, key)] = (parent_key, batch, order)
-
-        for (pos, served), cost in states.items():
+        via: dict[tuple[int, int], tuple] = {}
+        extra_delay: dict[int, float] = {}
+        for parent_key, cost in states.items():
+            pos, served = parent_key
             pending = released_mask[j] & ~served
-            if j == n_ev - 1:
-                # everything still pending must be served at the last event
-                subsets = [pending]
-            else:
-                subsets = []
-                s = pending
-                while True:
-                    subsets.append(s)
-                    if s == 0:
-                        break
-                    s = (s - 1) & pending
-            for sub in subsets:
-                if sub == 0:
-                    consider((pos, served), cost, (pos, served), 0, ())
-                    continue
-                batch_pts = tuple(sorted({reqs[i].point for i in range(k) if sub & (1 << i)}))
-                extra_delay = sum(delay_at[i][j] for i in range(k) if sub & (1 << i))
-                for end, wcost in walks.end_costs(pos, batch_pts).items():
-                    consider(
-                        (end, served | sub),
-                        cost + wcost + extra_delay,
-                        (pos, served),
-                        sub,
-                        walks.order(pos, batch_pts, end),
+            # everything still pending must be served at the last event
+            for sub in [pending] if j == n_ev - 1 else _submasks(pending):
+                pts = batch_pts.get(sub)
+                if pts is None:
+                    pts = batch_pts[sub] = tuple(
+                        sorted({reqs[i].point for i in range(k) if sub & (1 << i)})
                     )
+                extra = extra_delay.get(sub)
+                if extra is None:
+                    extra = extra_delay[sub] = sum(
+                        delay_at[i][j] for i in range(k) if sub & (1 << i)
+                    )
+                for end, wcost, order in walks.walks(pos, pts):
+                    key = (end, served | sub)
+                    c = cost + wcost + extra
+                    if c < nxt.get(key, math.inf) - 1e-15:
+                        nxt[key] = c
+                        via[key] = (parent_key, sub, order)
         states = nxt
+        back.append(via)
 
     finals = {key: c for key, c in states.items() if key[1] == full}
     best_key = min(finals, key=lambda key: (finals[key], key))
@@ -308,7 +326,7 @@ def opt_delay(inst: Instance) -> OptTrace:
     steps = []
     key = best_key
     for j in range(n_ev - 1, -1, -1):
-        parent_key, batch, order = back[(j, key)]
+        parent_key, batch, order = back[j][key]
         steps.append((j, batch, order))
         key = parent_key
     steps.reverse()
@@ -331,10 +349,5 @@ def opt_delay(inst: Instance) -> OptTrace:
         out_events.append(OptEvent(time=events[j], walk=tuple(walk), served_ids=served_ids))
         pos = walk[-1]
     return OptTrace(
-        mode="delay",
-        start=inst.server_start,
-        events=tuple(out_events),
-        movement_cost=movement,
-        delay_cost=delay_cost,
-        service_time=service_time,
+        "delay", inst.server_start, tuple(out_events), movement, delay_cost, service_time
     )

@@ -5,6 +5,11 @@ statements, not against the library implementations, so that the two
 routes stay independent: Floyd-style relaxation for distances, linear
 scans for balls, pure interval arithmetic for measures, subset/permutation
 enumeration for trees and offline optima.
+
+The one exception is the last section: the scalar push-form exact
+oracles, kept as they were before the library oracles were vectorised.
+They are references for trace equality (ties and visit orders), not
+independent routes.
 """
 
 from __future__ import annotations
@@ -12,8 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 
+from metricserve import config
 from metricserve.instance import Instance
-from metricserve.metric import MetricSpace, WeightedGraph
+from metricserve.metric import MetricSpace, WeightedGraph, build_metric
+from metricserve.offline_oracle import OptEvent, OptTrace
+from metricserve.walks import expand_hops, walk_cost
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +297,208 @@ def opt_delay_exhaustive(m: MetricSpace, inst: Instance) -> float:
             frontier = nxt
         best = min(best, min(frontier.values()) + total_delay)
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference exact oracles: the scalar push-form DPs, kept verbatim so that
+# faster library oracles can be checked against them trace for trace
+# ---------------------------------------------------------------------------
+
+
+def opt_deadline_reference(inst: Instance) -> OptTrace:
+    """Held-Karp over (served set, last request) in scalar push form."""
+    m = build_metric(inst.graph)
+    reqs = list(inst.requests)
+    if not reqs:
+        return OptTrace("deadline", inst.server_start, (), 0.0, 0.0, {})
+    k = len(reqs)
+    full = (1 << k) - 1
+    release = [q.release for q in reqs]
+    deadline = [q.deadline for q in reqs]
+    point = [q.point for q in reqs]
+
+    completion = [0.0] * (1 << k)
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        completion[mask] = max(completion[mask ^ low], release[low.bit_length() - 1])
+
+    INF = math.inf
+    cost = [[INF] * k for _ in range(1 << k)]
+    parent: list[list[int]] = [[-1] * k for _ in range(1 << k)]
+    for i in range(k):
+        if release[i] <= deadline[i] + config.EPS_TIME:
+            cost[1 << i][i] = m.distance(inst.server_start, point[i])
+    for mask in range(1, 1 << k):
+        for last in range(k):
+            c = cost[mask][last]
+            if c == INF or not mask & (1 << last):
+                continue
+            t_done = completion[mask]
+            for nxt in range(k):
+                if mask & (1 << nxt):
+                    continue
+                if max(t_done, release[nxt]) > deadline[nxt] + config.EPS_TIME:
+                    continue
+                nmask = mask | (1 << nxt)
+                nc = c + m.distance(point[last], point[nxt])
+                if nc < cost[nmask][nxt] - 1e-15:
+                    cost[nmask][nxt] = nc
+                    parent[nmask][nxt] = last
+    best_last = min(range(k), key=lambda i: (cost[full][i], i))
+    assert cost[full][best_last] < INF, "deadline instances are always feasible"
+
+    order = []
+    mask, last = full, best_last
+    while last != -1:
+        order.append(last)
+        mask, last = mask ^ (1 << last), parent[mask][last]
+    order.reverse()
+
+    events = []
+    pos = inst.server_start
+    t = -math.inf
+    movement = 0.0
+    service_time: dict[int, float] = {}
+    for i in order:
+        t = max(t, release[i])
+        walk = m.shortest_path_nodes(pos, point[i])
+        movement += walk_cost(m, walk)
+        events.append(OptEvent(time=t, walk=tuple(walk), served_ids=(reqs[i].id,)))
+        service_time[reqs[i].id] = t
+        pos = point[i]
+    return OptTrace("deadline", inst.server_start, tuple(events), movement, 0.0, service_time)
+
+
+class _BatchWalksReference:
+    """Cheapest walks through point sets by scalar bitmask DP."""
+
+    def __init__(self, m: MetricSpace):
+        self.m = m
+        self.memo: dict[tuple[int, tuple[int, ...]], dict[int, float]] = {}
+        self.orders: dict[tuple[int, tuple[int, ...], int], tuple[int, ...]] = {}
+
+    def end_costs(self, start: int, pts: tuple[int, ...]) -> dict[int, float]:
+        key = (start, pts)
+        if key in self.memo:
+            return self.memo[key]
+        k = len(pts)
+        dp = [[math.inf] * k for _ in range(1 << k)]
+        par = [[None] * k for _ in range(1 << k)]
+        for i in range(k):
+            dp[1 << i][i] = self.m.distance(start, pts[i])
+        for mask in range(1, 1 << k):
+            for last in range(k):
+                c = dp[mask][last]
+                if c == math.inf or not mask & (1 << last):
+                    continue
+                for nxt in range(k):
+                    if mask & (1 << nxt):
+                        continue
+                    nc = c + self.m.distance(pts[last], pts[nxt])
+                    nmask = mask | (1 << nxt)
+                    if nc < dp[nmask][nxt] - 1e-15:
+                        dp[nmask][nxt] = nc
+                        par[nmask][nxt] = last
+        full = (1 << k) - 1
+        out = {}
+        for i in range(k):
+            out[pts[i]] = dp[full][i]
+            seq = []
+            mask, last = full, i
+            while last is not None:
+                seq.append(pts[last])
+                mask, last = mask ^ (1 << last), par[mask][last]
+            self.orders[(start, pts, pts[i])] = tuple(reversed(seq))
+        self.memo[key] = out
+        return out
+
+    def order(self, start: int, pts: tuple[int, ...], end: int) -> tuple[int, ...]:
+        self.end_costs(start, pts)
+        return self.orders[(start, pts, end)]
+
+
+def opt_delay_reference(inst: Instance) -> OptTrace:
+    """DP over (release event, position, served subset) with scalar walks."""
+    m = build_metric(inst.graph)
+    reqs = list(inst.requests)
+    if not reqs:
+        return OptTrace("delay", inst.server_start, (), 0.0, 0.0, {})
+    k = len(reqs)
+    events = sorted({q.release for q in reqs})
+    n_ev = len(events)
+    delay_at = [[q.delay.value(t) if t >= q.release else math.inf for t in events] for q in reqs]
+    released_mask = [0] * n_ev
+    for j, t in enumerate(events):
+        for i, q in enumerate(reqs):
+            if q.release <= t + config.EPS_TIME:
+                released_mask[j] |= 1 << i
+    walks = _BatchWalksReference(m)
+    full = (1 << k) - 1
+
+    states: dict[tuple[int, int], float] = {(inst.server_start, 0): 0.0}
+    back: dict[tuple[int, tuple[int, int]], tuple] = {}
+    for j in range(n_ev):
+        nxt: dict[tuple[int, int], float] = {}
+
+        def consider(key, cost, parent_key, batch, order):
+            if cost < nxt.get(key, math.inf) - 1e-15:
+                nxt[key] = cost
+                back[(j, key)] = (parent_key, batch, order)
+
+        for (pos, served), cost in states.items():
+            pending = released_mask[j] & ~served
+            if j == n_ev - 1:
+                subsets = [pending]
+            else:
+                subsets = []
+                s = pending
+                while True:
+                    subsets.append(s)
+                    if s == 0:
+                        break
+                    s = (s - 1) & pending
+            for sub in subsets:
+                if sub == 0:
+                    consider((pos, served), cost, (pos, served), 0, ())
+                    continue
+                batch_pts = tuple(sorted({reqs[i].point for i in range(k) if sub & (1 << i)}))
+                extra_delay = sum(delay_at[i][j] for i in range(k) if sub & (1 << i))
+                for end, wcost in walks.end_costs(pos, batch_pts).items():
+                    consider(
+                        (end, served | sub),
+                        cost + wcost + extra_delay,
+                        (pos, served),
+                        sub,
+                        walks.order(pos, batch_pts, end),
+                    )
+        states = nxt
+
+    finals = {key: c for key, c in states.items() if key[1] == full}
+    best_key = min(finals, key=lambda key: (finals[key], key))
+
+    steps = []
+    key = best_key
+    for j in range(n_ev - 1, -1, -1):
+        parent_key, batch, order = back[(j, key)]
+        steps.append((j, batch, order))
+        key = parent_key
+    steps.reverse()
+
+    out_events = []
+    movement = 0.0
+    delay_cost = 0.0
+    service_time: dict[int, float] = {}
+    pos = inst.server_start
+    for j, batch, order in steps:
+        if not batch:
+            continue
+        walk = expand_hops(m, [pos] + list(order))
+        movement += walk_cost(m, walk)
+        served_ids = tuple(sorted(reqs[i].id for i in range(k) if batch & (1 << i)))
+        for i in range(k):
+            if batch & (1 << i):
+                service_time[reqs[i].id] = events[j]
+                delay_cost += delay_at[i][j]
+        out_events.append(OptEvent(time=events[j], walk=tuple(walk), served_ids=served_ids))
+        pos = walk[-1]
+    return OptTrace("delay", inst.server_start, tuple(out_events), movement, delay_cost, service_time)

@@ -104,6 +104,19 @@ def test_unknown_flag_exit_2(capsys):
     assert code == 2
 
 
+def test_parser_reuse_keeps_exit_codes(tmp_path, capsys):
+    """The parser is built once per process: a failed parse must not leak
+    into the next call."""
+    inst = tmp_path / "d.json"
+    _run(capsys, ["generate", "--seed", "5", "--points", "5", "--requests", "3",
+                  "--mode", "deadline", "--out", str(inst)])
+    code, _ = _run(capsys, ["verify", "--instance", str(inst), "--bogus"])
+    assert code == 2
+    code, out = _run(capsys, ["verify", "--instance", str(inst)])
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+
+
 def test_missing_file_exit_2(capsys):
     code, _ = _run(capsys, ["run", "--instance", "/nonexistent/path.json"])
     assert code == 2

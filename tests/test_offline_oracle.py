@@ -9,6 +9,8 @@ from metricserve.deadline_engine import run_deadline
 from metricserve.instance import DeadlineRequest, DelayFunction, DelayRequest, Instance, generate
 from metricserve.metric import WeightedGraph, build_metric
 from metricserve.offline_oracle import (
+    _DEADLINE_CAP,
+    _DELAY_CAP,
     OracleCapError,
     opt_deadline,
     opt_delay,
@@ -17,8 +19,10 @@ from metricserve.offline_oracle import (
 
 from oracles import (
     opt_deadline_bruteforce,
+    opt_deadline_reference,
     opt_deadline_unrestricted,
     opt_delay_exhaustive,
+    opt_delay_reference,
 )
 
 
@@ -181,3 +185,55 @@ def test_position_at():
     assert trace.position_at(0.5) == 0
     assert trace.position_at(1.0) == 2
     assert trace.position_at(10.0) == 2
+
+
+# the exact oracles must reproduce the scalar reference DPs trace for trace:
+# same totals, same tie-breaking, same visit orders
+
+
+_ORACLES = {
+    "deadline": (opt_deadline, opt_deadline_reference),
+    "delay": (opt_delay, opt_delay_reference),
+}
+
+
+def _unit_weights(inst: Instance) -> Instance:
+    """Same instance with every edge weight 1.0: many equal-cost walks, so
+    the 1e-15 tie rule decides which one the DP keeps."""
+    edges = tuple((u, v, 1.0) for u, v, _ in inst.graph.edges)
+    graph = WeightedGraph(node_count=inst.graph.node_count, edges=edges)
+    return Instance(graph=graph, server_start=inst.server_start, mode=inst.mode,
+                    requests=inst.requests)
+
+
+def _assert_same_trace(inst: Instance):
+    fast, reference = _ORACLES[inst.mode]
+    assert fast(inst).to_json() == reference(inst).to_json()
+
+
+@pytest.mark.parametrize("mode,n_requests", [("deadline", 12), ("delay", 8)])
+def test_oracle_matches_reference_at_benchmark_shapes(mode, n_requests):
+    """Seeded instances at the verify-oracle sizes (n=10, the request cap)."""
+    rng = random.Random(97)
+    for _ in range(8):
+        _assert_same_trace(generate(seed=rng.randrange(10**9), n_points=10,
+                                    n_requests=n_requests, mode=mode))
+
+
+@pytest.mark.parametrize("mode,cap", [("deadline", _DEADLINE_CAP), ("delay", _DELAY_CAP)])
+def test_oracle_matches_reference_for_every_request_count(mode, cap):
+    rng = random.Random(101)
+    for k in range(cap + 1):
+        for _ in range(2):
+            _assert_same_trace(generate(seed=rng.randrange(10**9),
+                                        n_points=rng.randint(2, 10),
+                                        n_requests=k, mode=mode))
+
+
+@pytest.mark.parametrize("mode,cap", [("deadline", _DEADLINE_CAP), ("delay", _DELAY_CAP)])
+def test_oracle_matches_reference_on_unit_weights(mode, cap):
+    rng = random.Random(103)
+    for _ in range(12):
+        inst = generate(seed=rng.randrange(10**9), n_points=rng.randint(3, 10),
+                        n_requests=rng.randint(cap // 2, cap), mode=mode)
+        _assert_same_trace(_unit_weights(inst))
