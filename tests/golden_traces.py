@@ -5,9 +5,10 @@ JSON in both regimes and the ``opt --trace`` JSON, plus runs of a few
 instances at benchmark sizes: request-regime runs of seeded instances,
 default-regime runs of seeded delay and deadline instances and an
 ``investment_star``, and ``opt`` traces of seeded instances at the
-oracle sizes of the ``verify-oracle`` workload.  Those inputs are stored under
-``tests/golden/instances/`` so the gate does not depend on the
-generator.  ``tests/test_golden.py`` compares every file byte for byte.
+oracle sizes of the ``verify-oracle`` workload.  Those inputs are
+stored under ``tests/golden/instances/`` so the gate does not depend on
+the generator.  ``tests/test_golden.py`` compares every file byte for
+byte.
 
 Regenerate only on purpose, and say why in CHANGES.md:
 
