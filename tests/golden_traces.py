@@ -7,8 +7,11 @@ default-regime runs of seeded delay and deadline instances and an
 ``investment_star``, and ``opt`` traces of seeded instances at the
 oracle sizes of the ``verify-oracle`` workload.  Those inputs are
 stored under ``tests/golden/instances/`` so the gate does not depend on
-the generator.  ``tests/test_golden.py`` compares every file byte for
-byte.
+the generator.  ``tests/golden/charge-report/`` holds the full
+``ChargeReport`` JSON of the default-regime run (``verify`` prints only
+the failed checks): with the optimum for the corpus and the oracle-size
+inputs, oracle-free for the engine-benchmark inputs.
+``tests/test_golden.py`` compares every file byte for byte.
 
 Regenerate only on purpose, and say why in CHANGES.md:
 
@@ -24,7 +27,15 @@ import tempfile
 from pathlib import Path
 
 from metricserve import cli
-from metricserve.instance import Instance, generate, investment_star, serialize_instance
+from metricserve.analysis import charge_report
+from metricserve.instance import (
+    Instance,
+    generate,
+    investment_star,
+    parse_instance,
+    serialize_instance,
+)
+from metricserve.metric import build_metric
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -71,6 +82,9 @@ COMMANDS = {
     "opt": ["opt"],
 }
 
+# the charge report is rendered through the library, not a command
+CHARGE_REPORT = "charge-report"
+
 
 def seeded_name(mode: str, n: int, m: int, seed: int) -> str:
     return f"{mode}-n{n}-m{m}-s{seed}"
@@ -97,7 +111,22 @@ def cases() -> list[tuple[str, Path]]:
     out += [("run", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_RUN]
     out += [("run", INSTANCES / f"investment_star-{STAR_LEAVES}.json")]
     out += [("opt", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_OPT]
+    out += [(CHARGE_REPORT, p) for p in sorted(CORPUS.glob("*.json"))]
+    out += [
+        (CHARGE_REPORT, INSTANCES / f"{seeded_name(*spec)}.json")
+        for spec in SEEDED_OPT + SEEDED_RUN
+    ]
+    out += [(CHARGE_REPORT, INSTANCES / f"investment_star-{STAR_LEAVES}.json")]
     return out
+
+
+def oracle_free(instance: Path) -> bool:
+    """Whether the charge report of ``instance`` is made without the
+    optimum: the engine-benchmark inputs are beyond the oracle caps."""
+    return instance.parent == INSTANCES and instance.stem in {
+        *(seeded_name(*spec) for spec in SEEDED_RUN),
+        f"investment_star-{STAR_LEAVES}",
+    }
 
 
 def golden_path(command: str, instance: Path) -> Path:
@@ -105,7 +134,13 @@ def golden_path(command: str, instance: Path) -> Path:
 
 
 def render(command: str, instance: Path) -> str:
-    """The trace JSON the CLI writes for ``command`` on ``instance``."""
+    """The trace JSON the CLI writes for ``command`` on ``instance``, or
+    the charge report JSON of its default-regime run."""
+    if command == CHARGE_REPORT:
+        inst = parse_instance(instance.read_text())
+        trace = cli._run_trace(inst, request_regime=False, horizon=None)
+        opt = None if oracle_free(instance) else cli._opt_trace(inst)
+        return charge_report(inst, build_metric(inst.graph), trace, opt).to_json()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "trace.json"
         argv = [*COMMANDS[command], "--instance", str(instance), "--trace", str(out)]
@@ -124,7 +159,7 @@ def main() -> int:
         path = golden_path(command, instance)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(render(command, instance))
-    print(f"wrote {len(cases())} golden traces under {GOLDEN}")
+    print(f"wrote {len(cases())} golden files under {GOLDEN}")
     return 0
 
 
