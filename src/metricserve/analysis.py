@@ -21,9 +21,10 @@ evaluated numerically, each reported with both sides and a verdict:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import config
 from .deadline_engine import DeadlineTrace
@@ -268,26 +269,34 @@ def perforate_and_partition(
     for cyl in cylinders:
         if cyl.shape.radius <= 0:
             continue  # degenerate ball claims nothing; every class stays valid
-        perf = Cylinder(
-            shape=PerforatedBall(cyl.shape.center, cyl.shape.radius, rho),
-            t_start=cyl.t_start,
-            t_end=cyl.t_end,
-            service_id=cyl.service_id,
-            kind=cyl.kind,
-            level=cyl.level,
-        )
+        perf = replace(cyl, shape=PerforatedBall(cyl.shape.center, cyl.shape.radius, rho))
         classes[perf.radius_class() % width].append(perf)
-    violations = []
-    for group in classes:
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if not cylinders_disjoint(m, group[i], group[j]):
-                    violations.append((group[i].service_id, group[j].service_id))
     return PerforatedPartition(
         rho=rho,
         classes=tuple(tuple(g) for g in classes),
-        violations=tuple(violations),
+        violations=tuple(
+            (a.service_id, b.service_id) for a, b in _overlapping_pairs(m, classes)
+        ),
     )
+
+
+def _by_level(cylinders: list[Cylinder]) -> list[list[Cylinder]]:
+    """The cylinders grouped by level, levels ascending."""
+    by_level: dict[int, list[Cylinder]] = {}
+    for cyl in cylinders:
+        by_level.setdefault(cyl.level, []).append(cyl)
+    return [group for _, group in sorted(by_level.items())]
+
+
+def _overlapping_pairs(m: MetricSpace, groups) -> list[tuple[Cylinder, Cylinder]]:
+    """Every pair inside one group that is not disjoint, in scan order."""
+    return [
+        (a, b)
+        for group in groups
+        for i, a in enumerate(group)
+        for b in group[i + 1 :]
+        if not cylinders_disjoint(m, a, b)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +349,6 @@ class ChargeReport:
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def _intersection(m: MetricSpace, opt: OptTrace, cyl: Cylinder) -> float:
-    edges = opt_edges_during(opt, cyl.t_start, cyl.t_end)
-    return shape_edge_measure(m, edges, cyl.shape)
-
-
 def _pdchg(s, opt: OptTrace) -> float:
     """Residual of triggers the optimum had not served by the service time."""
     return math.fsum(
@@ -368,45 +372,8 @@ def _cdchg(inst: Instance, s, opt: OptTrace) -> float:
     return total
 
 
-def _check_family_disjoint(report, m, cylinders, label):
-    by_level: dict[int, list[Cylinder]] = {}
-    for cyl in cylinders:
-        by_level.setdefault(cyl.level, []).append(cyl)
-    bad = 0
-    for level, group in sorted(by_level.items()):
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if not cylinders_disjoint(m, group[i], group[j]):
-                    bad += 1
-    report.add(f"{label}-disjoint-per-level", label, float(bad), 0.0, ge=False)
-
-
-def _check_partition(report, m, cylinders, rho, label):
-    partition = perforate_and_partition(m, cylinders, rho)
-    report.add(
-        f"{label}-perforated-classes",
-        f"{label} rho={rho:g}",
-        float(len(partition.classes)),
-        float(ceil_log2(rho) + 1),
-        ge=False,
-    )
-    report.add(
-        f"{label}-perforated-disjoint",
-        f"{label} rho={rho:g}",
-        float(len(partition.violations)),
-        0.0,
-        ge=False,
-    )
-    return partition
-
-
 def charge_report(
-    inst: Instance,
-    m: MetricSpace,
-    trace: Trace,
-    opt: OptTrace | None = None,
-    rho_primary: float | None = None,
-    rho_certified: float | None = None,
+    inst: Instance, m: MetricSpace, trace: Trace, opt: OptTrace | None = None
 ) -> ChargeReport:
     """Evaluate every structural inequality a trace is supposed to satisfy.
 
@@ -418,33 +385,32 @@ def charge_report(
     report = ChargeReport(mode=mode)
     classification = classify(trace)
     by_id = {q.id: q for q in inst.requests}
-    if rho_primary is None:
-        rho_primary = default_rho_primary(m, mode)
-    if rho_certified is None:
-        rho_certified = default_rho_certified(m)
+    rho = {"primary": default_rho_primary(m, mode), "certified": default_rho_certified(m)}
 
     # certified-once and level gaps
     for sid in sorted(classification.certified_ids):
         certifiers = classification.certifier_lists[sid]
         report.add("certified-once", f"service {sid}", float(len(certifiers)), 1.0, ge=False)
         report.add("certified-once", f"service {sid}", float(len(certifiers)), 1.0, ge=True)
-        level = trace.services[sid].level
-        gap = trace.services[certifiers[0]].level - level
-        if mode == "deadline":
-            report.add("certifier-level-gap", f"service {sid}", float(gap), 4.0, ge=True)
-            report.add("certifier-level-gap", f"service {sid}", float(gap), 4.0, ge=False)
-        else:
-            report.add("certifier-level-gap", f"service {sid}", float(gap), 4.0, ge=True)
-            report.add("certifier-level-gap", f"service {sid}", float(gap), 5.0, ge=False)
+        gap = float(trace.services[certifiers[0]].level - trace.services[sid].level)
+        report.add("certifier-level-gap", f"service {sid}", gap, 4.0, ge=True)
+        max_gap = 4.0 if mode == "deadline" else 5.0
+        report.add("certifier-level-gap", f"service {sid}", gap, max_gap, ge=False)
 
     all_primary = build_primary_cylinders(inst, m, trace, opt=None)
     certified_cyls = build_certified_cylinders(inst, m, trace, classification)
-    _check_family_disjoint(report, m, all_primary, "primary")
-    _check_family_disjoint(report, m, certified_cyls, "certified")
-    primary_partition = _check_partition(report, m, all_primary, rho_primary, "primary")
-    certified_partition = _check_partition(
-        report, m, certified_cyls, rho_certified, "certified"
-    )
+    families = {"primary": all_primary, "certified": certified_cyls}
+    for label, cylinders in families.items():
+        bad = len(_overlapping_pairs(m, _by_level(cylinders)))
+        report.add(f"{label}-disjoint-per-level", label, float(bad), 0.0, ge=False)
+    partitions = {}
+    for label, cylinders in families.items():
+        partition = partitions[label] = perforate_and_partition(m, cylinders, rho[label])
+        subject = f"{label} rho={rho[label]:g}"
+        classes, width = float(len(partition.classes)), float(ceil_log2(rho[label]) + 1)
+        report.add(f"{label}-perforated-classes", subject, classes, width, ge=False)
+        bad = float(len(partition.violations))
+        report.add(f"{label}-perforated-disjoint", subject, bad, 0.0, ge=False)
 
     # request windows sit inside certified intervals
     for cyl in certified_cyls:
@@ -477,92 +443,54 @@ def charge_report(
     if opt is None:
         return report
 
+    @functools.cache  # cylinders share intervals and shapes across the checks below
+    def measure(t_start: float, t_end: float, shape: Shape) -> float:
+        """Length of the optimum's edges during [t_start, t_end] inside ``shape``."""
+        return shape_edge_measure(m, opt_edges_during(opt, t_start, t_end), shape)
+
     qualified = build_primary_cylinders(inst, m, trace, opt=opt)
     # per-cylinder intersection bounds
-    for cyl in qualified:
+    for cyl in qualified + certified_cyls:
         s = trace.services[cyl.service_id]
-        ccap = _intersection(m, opt, cyl)
-        if mode == "deadline":
-            report.add(
-                "far-primary-intersection",
-                f"service {s.service_id}",
-                ccap,
-                2.0 ** (s.level - 6),
-                ge=True,
-            )
+        ccap = measure(cyl.t_start, cyl.t_end, cyl.shape)
+        if cyl.kind == "primary" and mode == "deadline":
+            kind, lhs, rhs = "far-primary-intersection", ccap, 2.0 ** (s.level - 6)
+        elif cyl.kind == "primary":
+            kind, lhs = "primary-intersection-plus-pdchg", ccap + _pdchg(s, opt)
+            rhs = 2.0 ** (s.level - 8)
+        elif mode == "deadline":
+            kind, lhs, rhs = "certified-intersection", ccap, 2.0 ** (s.level - 1)
         else:
-            report.add(
-                "primary-intersection-plus-pdchg",
-                f"service {s.service_id}",
-                ccap + _pdchg(s, opt),
-                2.0 ** (s.level - 8),
-                ge=True,
-            )
-    for cyl in certified_cyls:
-        s = trace.services[cyl.service_id]
-        ccap = _intersection(m, opt, cyl)
-        if mode == "deadline":
-            report.add(
-                "certified-intersection",
-                f"service {s.service_id}",
-                ccap,
-                2.0 ** (s.level - 1),
-                ge=True,
-            )
-        else:
-            report.add(
-                "certified-intersection-plus-cdchg",
-                f"service {s.service_id}",
-                2.0 * ccap + _cdchg(inst, s, opt),
-                2.0**s.level,
-                ge=True,
-            )
+            kind, lhs = "certified-intersection-plus-cdchg", 2.0 * ccap + _cdchg(inst, s, opt)
+            rhs = 2.0**s.level
+        report.add(kind, f"service {s.service_id}", lhs, rhs, ge=True)
 
     # perforation never loses more than the bound, per cylinder
     for cyl in all_primary + certified_cyls:
-        edges = opt_edges_during(opt, cyl.t_start, cyl.t_end)
-        ball = shape_edge_measure(m, edges, cyl.shape)
-        rho = rho_primary if cyl.kind == "primary" else rho_certified
-        perf = shape_edge_measure(
-            m, edges, PerforatedBall(cyl.shape.center, cyl.shape.radius, rho)
-        )
-        report.add(
-            "perforation-difference",
-            f"service {cyl.service_id}",
-            ball - perf,
-            2.0 * cyl.shape.radius * m.n**2 / rho,
-            ge=False,
-        )
+        r = rho[cyl.kind]
+        perf = PerforatedBall(cyl.shape.center, cyl.shape.radius, r)
+        lost = measure(cyl.t_start, cyl.t_end, cyl.shape) - measure(cyl.t_start, cyl.t_end, perf)
+        bound = 2.0 * cyl.shape.radius * m.n**2 / r
+        report.add("perforation-difference", f"service {cyl.service_id}", lost, bound, ge=False)
 
     # aggregated charges over disjoint families
-    def _family_groups(cylinders):
-        by_level: dict[int, list[Cylinder]] = {}
-        for cyl in cylinders:
-            by_level.setdefault(cyl.level, []).append(cyl)
-        return [group for _, group in sorted(by_level.items())]
-
-    def _aggregate(groups, label, include_delay_charges):
+    for label, groups, delay_charges in (
+        ("primary-level", _by_level(qualified), True),
+        ("certified-level", _by_level(certified_cyls), True),
+        ("primary-perforated", partitions["primary"].classes, False),
+        ("certified-perforated", partitions["certified"].classes, False),
+    ):
         for i, group in enumerate(groups):
             if not group:
                 continue
             total = 0.0
             bound = opt.movement_cost
             for cyl in group:
-                total += _intersection(m, opt, cyl)
-            if include_delay_charges and mode == "delay":
+                total += measure(cyl.t_start, cyl.t_end, cyl.shape)
+            if delay_charges and mode == "delay":
                 for cyl in group:
                     s = trace.services[cyl.service_id]
-                    if cyl.kind == "primary":
-                        total += _pdchg(s, opt)
-                    else:
-                        total += _cdchg(inst, s, opt)
+                    total += _pdchg(s, opt) if cyl.kind == "primary" else _cdchg(inst, s, opt)
                 bound = opt.total_cost
             report.add(f"{label}-aggregate", f"class {i}", total, bound, ge=False)
-
-    _aggregate(_family_groups(qualified), "primary-level", include_delay_charges=True)
-    _aggregate(_family_groups(certified_cyls), "certified-level", include_delay_charges=True)
-    _aggregate(list(primary_partition.classes), "primary-perforated", include_delay_charges=False)
-    _aggregate(
-        list(certified_partition.classes), "certified-perforated", include_delay_charges=False
-    )
     return report

@@ -20,7 +20,8 @@ from .analysis import charge_report, classify
 from .deadline_engine import run_deadline
 from .delay_engine import run_delay
 from .instance import Instance, InstanceFormatError, generate, parse_instance, serialize_instance
-from .metric import DisconnectedGraphError, build_metric
+from .metric import DisconnectedGraphError
+from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .offline_oracle import OracleCapError, opt_deadline, opt_delay
 
 __all__ = ["main"]
@@ -121,13 +122,12 @@ def _cmd_opt(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    m = build_metric(inst.graph)
     trace = _run_trace(inst, args.request_regime, args.horizon)
     try:
         opt = _opt_trace(inst)
     except OracleCapError as exc:
         raise _UsageError(str(exc)) from exc
-    report = charge_report(inst, m, trace, opt)
+    report = charge_report(inst, inst.metric, trace, opt)
     failures = [c.to_doc() for c in report.failures()]
     _emit(
         {

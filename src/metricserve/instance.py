@@ -14,9 +14,10 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import config
-from .metric import WeightedGraph
+from .metric import MetricSpace, WeightedGraph, build_metric
 
 __all__ = [
     "DeadlineRequest",
@@ -160,6 +161,12 @@ class Instance:
                 )
             if not (0 <= q.point < self.graph.node_count):
                 raise InstanceFormatError(f"request {q.id} on invalid point {q.point}")
+
+    @cached_property
+    def metric(self) -> MetricSpace:
+        """The graph's shortest-path metric, built on first use and shared
+        by every engine, oracle and report that reads this instance."""
+        return build_metric(self.graph)
 
 
 # ---------------------------------------------------------------------------

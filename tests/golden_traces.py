@@ -16,6 +16,9 @@ inputs, oracle-free for the engine-benchmark inputs.
 Regenerate only on purpose, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/golden_traces.py
+
+Any argument (``--help`` included) prints this usage and exits 2
+without writing.
 """
 
 from __future__ import annotations
@@ -85,6 +88,11 @@ COMMANDS = {
 # the charge report is rendered through the library, not a command
 CHARGE_REPORT = "charge-report"
 
+USAGE = (
+    "usage: PYTHONPATH=src python tests/golden_traces.py"
+    "  (no arguments; rewrites every golden file)"
+)
+
 
 def seeded_name(mode: str, n: int, m: int, seed: int) -> str:
     return f"{mode}-n{n}-m{m}-s{seed}"
@@ -151,7 +159,10 @@ def render(command: str, instance: Path) -> str:
         return out.read_text()
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        print(USAGE, file=sys.stderr)
+        return 2
     INSTANCES.mkdir(parents=True, exist_ok=True)
     for stem, inst in stored_instances().items():
         (INSTANCES / f"{stem}.json").write_text(serialize_instance(inst))
@@ -164,4 +175,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -317,7 +317,7 @@ def opt_deadline_reference(inst: Instance) -> OptTrace:
     deadline = [q.deadline for q in reqs]
     point = [q.point for q in reqs]
 
-    completion = [0.0] * (1 << k)
+    completion = [-math.inf] * (1 << k)  # the empty mask has no release
     for mask in range(1, 1 << k):
         low = mask & -mask
         completion[mask] = max(completion[mask ^ low], release[low.bit_length() - 1])

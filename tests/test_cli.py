@@ -2,9 +2,11 @@
 
 import csv
 import json
+import sys
 
 import pytest
 
+from metricserve import metric
 from metricserve.cli import main
 
 
@@ -155,3 +157,90 @@ def test_malformed_request_exit_2(tmp_path, capsys, field, value):
     }))
     assert main(["run", "--instance", str(inst)]) == 2
     assert "bad instance" in capsys.readouterr().err
+
+
+NEGATIVE_TIMES = {
+    "graph": {"nodes": 3, "edges": [[0, 1, 2.0], [1, 2, 3.0]]},
+    "server_start": 0,
+    "mode": "deadline",
+    "requests": [
+        {"id": 0, "point": 0, "release": -5.0, "deadline": -4.0},
+        {"id": 1, "point": 2, "release": -10.0, "deadline": -1.0},
+    ],
+}
+
+
+@pytest.fixture
+def negative_times(tmp_path):
+    """Every release and deadline below zero; the optimum costs 5.0."""
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(NEGATIVE_TIMES))
+    return path
+
+
+def test_opt_with_negative_times(capsys, negative_times):
+    code, out = _run(capsys, ["opt", "--instance", str(negative_times)])
+    assert code == 0
+    assert json.loads(out)["total_cost"] == 5.0
+
+
+def test_verify_with_negative_times(capsys, negative_times):
+    code, out = _run(capsys, ["verify", "--instance", str(negative_times)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["opt_cost"] == 5.0
+    assert doc["all_pass"] is True
+
+
+def test_report_with_negative_times(tmp_path, capsys, negative_times):
+    out_csv = tmp_path / "r.csv"
+    code, _ = _run(capsys, ["report", "--glob", str(negative_times), "--csv", str(out_csv)])
+    assert code == 0
+    with open(out_csv) as fh:
+        assert float(next(csv.DictReader(fh))["opt_cost"]) == 5.0
+
+
+@pytest.fixture
+def metric_builds(monkeypatch):
+    """Every ``build_metric`` call's graph, counted through every binding
+    of the function in the package, so no caller is missed."""
+    graphs = []
+    original = metric.build_metric
+
+    def counted(g):
+        graphs.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "metricserve":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return graphs
+
+
+def _generated(tmp_path, capsys) -> list:
+    paths = []
+    for seed, mode in enumerate(["deadline", "delay", "deadline", "delay"]):
+        path = tmp_path / f"inst{seed}.json"
+        _run(capsys, ["generate", "--seed", str(seed), "--points", "6", "--requests", "5",
+                      "--mode", mode, "--out", str(path)])
+        paths.append(path)
+    return paths
+
+
+def test_verify_builds_one_metric_per_instance(tmp_path, capsys, metric_builds):
+    for path in _generated(tmp_path, capsys):
+        before = len(metric_builds)
+        code, _ = _run(capsys, ["verify", "--instance", str(path)])
+        assert code == 0
+        assert len(metric_builds) - before == 1
+
+
+def test_report_builds_one_metric_per_row(tmp_path, capsys, metric_builds):
+    paths = _generated(tmp_path, capsys)
+    code, out = _run(capsys, ["report", "--glob", str(tmp_path / "inst*.json"),
+                              "--csv", str(tmp_path / "r.csv")])
+    assert code == 0
+    assert json.loads(out)["instances"] == len(paths)
+    assert len(metric_builds) == len(paths)

@@ -237,3 +237,21 @@ def test_oracle_matches_reference_on_unit_weights(mode, cap):
         inst = generate(seed=rng.randrange(10**9), n_points=rng.randint(3, 10),
                         n_requests=rng.randint(cap // 2, cap), mode=mode)
         _assert_same_trace(_unit_weights(inst))
+
+
+def test_opt_deadline_with_negative_times():
+    """Every time shifted by -64: a mask whose releases are all negative
+    completes at its latest release, not at 0, so the instance stays
+    feasible and the oracle matches the reference and the brute force."""
+    rng = random.Random(109)
+    for _ in range(30):
+        inst = generate(seed=rng.randrange(10**9), n_points=6, n_requests=6, mode="deadline")
+        inst = _deadline_instance(inst.graph, inst.server_start, [
+            (q.id, q.point, q.release - 64.0, q.deadline - 64.0) for q in inst.requests
+        ])
+        assert min(q.release for q in inst.requests) < 0
+        trace = opt_deadline(inst)
+        assert trace.to_json() == opt_deadline_reference(inst).to_json()
+        assert trace.total_cost == pytest.approx(
+            opt_deadline_bruteforce(build_metric(inst.graph), inst)
+        )
