@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -32,13 +33,15 @@ from pathlib import Path
 from metricserve import cli
 from metricserve.analysis import charge_report
 from metricserve.instance import (
+    DelayFunction,
+    DelayRequest,
     Instance,
     generate,
     investment_star,
     parse_instance,
     serialize_instance,
 )
-from metricserve.metric import build_metric
+from metricserve.metric import WeightedGraph, build_metric
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -78,6 +81,49 @@ SEEDED_OPT = [
     ("delay", 10, 8, 63),
 ]
 
+
+def tenth_weight_instance(seed: int) -> Instance:
+    """A seeded delay instance (3-8 points, 2-8 requests) with edge weights
+    and delay slopes in tenths and integer releases, so that many batch
+    plans cost the same up to rounding and the delay oracle's 1e-15 tie
+    rule decides between them."""
+    rng = random.Random(seed)
+    inst = generate(seed=rng.randrange(10**9), n_points=rng.randint(3, 8),
+                    n_requests=rng.randint(2, 8), mode="delay")
+    edges = tuple((u, v, 0.1 * rng.randrange(1, 6)) for u, v, _ in inst.graph.edges)
+    requests = []
+    for q in inst.requests:
+        release = float(round(q.release))
+        delay = DelayFunction(((release, 0.0),), 0.1 * rng.randrange(1, 4))
+        requests.append(DelayRequest(q.id, q.point, release, delay))
+    return Instance(WeightedGraph(inst.graph.node_count, edges), inst.server_start,
+                    "delay", tuple(requests))
+
+
+def close_release_instance(seed: int) -> Instance:
+    """``tenth_weight_instance(seed)`` with every second request released
+    1e-12 after the one before it: inside the release tolerance of the
+    earlier event, where its delay is not yet defined."""
+    inst = tenth_weight_instance(seed)
+    requests = list(inst.requests)
+    for i in range(1, len(requests), 2):
+        q, release = requests[i], requests[i - 1].release + 1e-12
+        delay = DelayFunction(((release, 0.0),), q.delay.final_slope)
+        requests[i] = DelayRequest(q.id, q.point, release, delay)
+    return Instance(inst.graph, inst.server_start, "delay", tuple(requests))
+
+
+# (family, seed): delay inputs whose opt traces hinge on the oracle's
+# 1e-15 tie rule (a first-minimum rule, or a candidate of infinite cost
+# that still creates a state, changes each of them)
+FAMILY = {"tenth-weight": tenth_weight_instance, "close-release": close_release_instance}
+SEEDED_FAMILY = [
+    ("tenth-weight", 582810531),
+    ("tenth-weight", 862436980),
+    ("close-release", 372721941),
+    ("close-release", 596211508),
+]
+
 # command name -> extra CLI arguments
 COMMANDS = {
     "run": ["run"],
@@ -107,6 +153,8 @@ def stored_instances() -> dict[str, Instance]:
         for mode, n, m, seed in SEEDED + SEEDED_RUN + SEEDED_OPT
     }
     out[f"investment_star-{STAR_LEAVES}"] = investment_star(STAR_LEAVES)
+    for family, seed in SEEDED_FAMILY:
+        out[f"delay-{family}-s{seed}"] = FAMILY[family](seed)
     return out
 
 
@@ -119,6 +167,7 @@ def cases() -> list[tuple[str, Path]]:
     out += [("run", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_RUN]
     out += [("run", INSTANCES / f"investment_star-{STAR_LEAVES}.json")]
     out += [("opt", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_OPT]
+    out += [("opt", INSTANCES / f"delay-{family}-s{seed}.json") for family, seed in SEEDED_FAMILY]
     out += [(CHARGE_REPORT, p) for p in sorted(CORPUS.glob("*.json"))]
     out += [
         (CHARGE_REPORT, INSTANCES / f"{seeded_name(*spec)}.json")
