@@ -45,13 +45,16 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_generate(args) -> int:
-    inst = generate(
-        seed=args.seed,
-        n_points=args.points,
-        n_requests=args.requests,
-        mode=args.mode,
-        horizon=args.horizon,
-    )
+    try:
+        inst = generate(
+            seed=args.seed,
+            n_points=args.points,
+            n_requests=args.requests,
+            mode=args.mode,
+            horizon=args.horizon,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     text = serialize_instance(inst)
     Path(args.out).write_text(text)
     _emit(

@@ -356,8 +356,8 @@ def generate(
     horizon: float = 100.0,
 ) -> Instance:
     """Deterministic-in-seed random instance on a connected graph."""
-    if n_points <= 0 or n_requests < 0 or horizon <= 0:
-        raise ValueError("generator parameters must be positive")
+    if n_points <= 0 or n_requests < 0 or not 0 < horizon < math.inf:
+        raise ValueError("generator parameters must be positive and finite")
     rng = random.Random(seed)
     graph = _random_connected_graph(rng, n_points, weight_range)
     start = rng.randrange(n_points)

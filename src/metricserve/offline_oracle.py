@@ -30,12 +30,24 @@ the trace.  The reference order is the scalar push loop: masks, then
 ``last``, then ``nxt``, all ascending.  A target ``(mask | 1 << nxt,
 nxt)`` has one predecessor mask, and popcount layer p writes only into
 layer p + 1, so the push loop offers each target its candidates by
-``last`` ascending.  ``opt_deadline`` pulls in that order: per layer it
-lists every target in numpy and sweeps ``last = 0 .. k-1`` under the same
-strict rule, giving the same cost and parent tables.  The batch walks of
-``opt_delay`` stay a scalar push loop over precomputed tables: batches
-hold at most eight points, mostly two to five, too few for numpy's
-per-call overhead to pay off.
+``last`` ascending.  The numpy tables pull in that order: per layer they
+list every target and sweep ``last = 0 .. k-1`` under the same strict
+rule, giving the same cost and parent tables.
+
+``opt_delay`` builds one such table per instance, from every walk start
+at once over the masks of the distinct request points: a batch's own DP
+reads only its points, in the same ascending order, so each entry is
+what that batch computes alone.  The outer DP goes one release event at
+a time.  It lists every ``(state, batch, end)`` candidate in the scalar
+loop's order (states as created, batches descending, ends ascending),
+and each target ``(end, served)`` takes the first of its cheapest
+candidates.  That is the scalar rule's choice whenever every other
+candidate is more than 1e-15 dearer in floats: the winner displaces
+whatever came before it and nothing after displaces it.  A target with
+a closer rival is replayed by the scalar rule.  A new state takes its
+place at its target's first finite candidate, where the scalar loop
+creates it; a candidate of infinite cost (a request released within
+``EPS_TIME`` after the event) creates nothing.
 """
 
 from __future__ import annotations
@@ -203,66 +215,85 @@ def opt_deadline(inst: Instance) -> OptTrace:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache  # at most 2 ** _DELAY_CAP entries
-def _submasks(mask: int) -> tuple[int, ...]:
-    """Every submask of ``mask``, descending."""
-    return tuple(s for s in range(mask, -1, -1) if s & mask == s)
+@functools.cache  # one entry per request count, at most _DELAY_CAP + 1
+def _submask_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows over k-bit masks: every submask of each mask, descending."""
+    subs = np.arange((1 << k) - 1, -1, -1)
+    mask, col = np.nonzero((subs & ~np.arange(1 << k)[:, None]) == 0)
+    return np.searchsorted(mask, np.arange((1 << k) + 1)), subs[col]
 
 
-@functools.cache
-def _subset_moves(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    """Per mask over k points: its members ascending, and each
-    ``(nxt, mask | 1 << nxt)`` for nxt outside it, ascending."""
-    moves = []
-    for mask in range(1 << k):
-        inside = tuple(i for i in range(k) if mask >> i & 1)
-        moves.append((inside, tuple((i, mask | 1 << i) for i in range(k) if i not in inside)))
-    return tuple(moves)
+def _rows(ptr: np.ndarray, values: np.ndarray, keys: np.ndarray):
+    """The CSR rows ``keys`` one after another, each entry with its key's index."""
+    cnt = ptr[keys + 1] - ptr[keys]
+    owner = np.repeat(np.arange(len(keys)), cnt)
+    skip = np.repeat(ptr[keys] - np.cumsum(cnt) + cnt, cnt)
+    return owner, values[skip + np.arange(len(owner))]
 
 
-class _BatchWalks:
-    """Cheapest walks through point sets by bitmask DP, with order recovery."""
+def _walk_table(m: MetricSpace, starts: list[int], pts: list[int]):
+    """Held-Karp from every start at once over the point masks of ``pts``.
 
-    def __init__(self, m: MetricSpace, points):
-        # distance rows of every possible walk start and stop, as floats
-        self.rows = {u: m.dist[u].tolist() for u in points}
-        # the empty batch: stay put at no cost
-        self.memo = {(u, ()): [(u, 0.0, ())] for u in points}
+    ``cost[s, mask, e]`` is the cheapest walk from ``starts[s]`` through the
+    points of ``mask`` that ends at ``starts[e]`` (``starts`` begins with
+    ``pts``, so bits and ends share indices), and ``parent`` holds its
+    previous point, -1 at the first.  The empty batch stays put at 0.0.
+    """
+    p, ns = len(pts), len(starts)
+    d = m.dist[np.ix_(pts, pts)]
+    bit = 1 << np.arange(p)
+    inside = (np.arange(1 << p)[:, None] & bit) != 0
+    cost = np.full((ns, 1 << p, ns), np.inf)
+    parent = np.full((ns, 1 << p, ns), -1, dtype=np.int8)
+    cost[np.arange(ns), 0, np.arange(ns)] = 0.0
+    cost[:, bit, np.arange(p)] = m.dist[np.ix_(starts, pts)]
+    for size in range(2, p + 1):
+        tgt, nxt = np.nonzero(inside & (inside.sum(1) == size)[:, None])
+        prev = tgt ^ bit[nxt]
+        best = np.full((ns, len(tgt)), np.inf)
+        arg = np.full((ns, len(tgt)), -1, dtype=np.int8)
+        for last in range(p):
+            cand = cost[:, prev, last] + d[last, nxt]
+            better = cand < best - 1e-15
+            best = np.where(better, cand, best)
+            arg = np.where(better, last, arg)
+        cost[:, tgt, nxt] = best
+        parent[:, tgt, nxt] = arg
+    return cost, parent, inside
 
-    def walks(self, start: int, pts: tuple[int, ...]) -> list[tuple[int, float, tuple[int, ...]]]:
-        """``(end, cost, visit order)`` of the cheapest walk from ``start``
-        through all of ``pts`` that ends at each of them, in ``pts`` order."""
-        key = (start, pts)
-        out = self.memo.get(key)
-        if out is not None:
-            return out
-        k = len(pts)
-        dd = [[self.rows[a][b] for b in pts] for a in pts]
-        dp = [[math.inf] * k for _ in range(1 << k)]
-        par = [[-1] * k for _ in range(1 << k)]
-        for i in range(k):
-            dp[1 << i][i] = self.rows[start][pts[i]]
-        for mask, (lasts, targets) in enumerate(_subset_moves(k)):
-            row = dp[mask]
-            for last in lasts:
-                c = row[last]
-                if c == math.inf:
-                    continue
-                dl = dd[last]
-                for nxt, nmask in targets:
-                    nc = c + dl[nxt]
-                    if nc < dp[nmask][nxt] - 1e-15:
-                        dp[nmask][nxt] = nc
-                        par[nmask][nxt] = last
-        out = self.memo[key] = []
-        for i in range(k):
-            seq = []
-            mask, last = (1 << k) - 1, i
-            while last != -1:
-                seq.append(pts[last])
-                mask, last = mask ^ (1 << last), par[mask][last]
-            out.append((pts[i], dp[-1][i], tuple(reversed(seq))))
-        return out
+
+def _walk_order(parent: np.ndarray, pts: list[int], s: int, mask: int, last: int) -> list[int]:
+    """Visit order of the table's walk from start ``s`` through ``mask`` to ``pts[last]``."""
+    order = []
+    while last != -1:
+        order.append(pts[last])
+        mask, last = mask ^ (1 << last), int(parent[s, mask, last])
+    return order[::-1]
+
+
+def _scalar_winners(tid: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each target with a finite candidate: the candidate that a scalar
+    loop over candidates in index order keeps, replacing only if cheaper by
+    more than 1e-15, and the target's first finite candidate."""
+    n = len(cost)
+    grp = np.argsort(tid, kind="stable")
+    cs = cost[grp]
+    head = np.flatnonzero(np.diff(tid[grp], prepend=-1))
+    tail = np.append(head[1:], n)
+    at = np.arange(n)
+    low = np.minimum.reduceat(cs, head)
+    win = np.minimum.reduceat(np.where(cs == np.repeat(low, tail - head), at, n), head)
+    rest = cs.copy()
+    rest[win] = np.inf
+    keep = low < np.inf
+    # the first minimum wins unless another candidate lies within 1e-15 of it
+    for g in np.flatnonzero(keep & ~(low < np.minimum.reduceat(rest, head) - 1e-15)):
+        best = math.inf
+        for i, c in enumerate(cs[head[g]:tail[g]].tolist(), start=head[g]):
+            if c < best - 1e-15:
+                best, win[g] = c, i
+    first = np.minimum.reduceat(np.where(cs < np.inf, at, n), head)
+    return grp[win[keep]], grp[first[keep]]
 
 
 def opt_delay(inst: Instance) -> OptTrace:
@@ -285,51 +316,51 @@ def opt_delay(inst: Instance) -> OptTrace:
         for i, q in enumerate(reqs):
             if q.release <= t + config.EPS_TIME:
                 released_mask[j] |= 1 << i
-    walks = _BatchWalks(m, {inst.server_start} | {q.point for q in reqs})
-    full = (1 << k) - 1
-    batch_pts: dict[int, tuple[int, ...]] = {}
+    pts = sorted({q.point for q in reqs})
+    starts = pts + [inst.server_start] * (inst.server_start not in pts)
+    table, parent, inside = _walk_table(m, starts, pts)
+    # per request subset: its batch's point mask, and its delay at each
+    # event summed over ascending i from 0
+    subs = np.arange(1 << k)
+    pmask = np.zeros(1 << k, dtype=np.int64)
+    extra = np.zeros((1 << k, n_ev))
+    for i, q in enumerate(reqs):
+        has = (subs >> i & 1) == 1
+        pmask[has] |= 1 << pts.index(q.point)
+        extra = np.where(has[:, None], extra + delay_at[i], extra)
+    # walk ends per point mask: its points, or column p (stay) for the empty one
+    ends = np.column_stack([inside, ~inside.any(1)])
 
-    # states[(position, served_mask)] = cost; back[j][state] = (parent, batch, order)
-    states: dict[tuple[int, int], float] = {(inst.server_start, 0): 0.0}
-    back: list[dict[tuple[int, int], tuple]] = []
+    # states in creation order: position (index into starts), served mask, cost;
+    # candidates in the scalar loop's order: state, then sub descending, then end
+    loc = np.array([starts.index(inst.server_start)])
+    served, cost = np.zeros(1, np.int64), np.zeros(1)
+    back = []
     for j in range(n_ev):
-        nxt: dict[tuple[int, int], float] = {}
-        via: dict[tuple[int, int], tuple] = {}
-        extra_delay: dict[int, float] = {}
-        for parent_key, cost in states.items():
-            pos, served = parent_key
-            pending = released_mask[j] & ~served
-            # everything still pending must be served at the last event
-            for sub in [pending] if j == n_ev - 1 else _submasks(pending):
-                pts = batch_pts.get(sub)
-                if pts is None:
-                    pts = batch_pts[sub] = tuple(
-                        sorted({reqs[i].point for i in range(k) if sub & (1 << i)})
-                    )
-                extra = extra_delay.get(sub)
-                if extra is None:
-                    extra = extra_delay[sub] = sum(
-                        delay_at[i][j] for i in range(k) if sub & (1 << i)
-                    )
-                for end, wcost, order in walks.walks(pos, pts):
-                    key = (end, served | sub)
-                    c = cost + wcost + extra
-                    if c < nxt.get(key, math.inf) - 1e-15:
-                        nxt[key] = c
-                        via[key] = (parent_key, sub, order)
-        states = nxt
-        back.append(via)
+        # everything still pending must be served at the last event
+        sub_rows = _submask_rows(k) if j < n_ev - 1 else (np.arange((1 << k) + 1), subs)
+        st, sub = _rows(*sub_rows, released_mask[j] & ~served)
+        pair, end = np.nonzero(ends[pmask[sub]])
+        st, sub = st[pair], sub[pair]
+        start = loc[st]
+        end = np.where(end == len(pts), start, end)
+        c = (cost[st] + table[start, pmask[sub], end]) + extra[sub, j]
+        win, first = _scalar_winners(end << k | served[st] | sub, c)
+        win = win[np.argsort(first)]
+        back.append((st[win], sub[win], start[win], end[win]))
+        loc, served, cost = end[win], served[st[win]] | sub[win], c[win]
 
-    finals = {key: c for key, c in states.items() if key[1] == full}
-    best_key = min(finals, key=lambda key: (finals[key], key))
+    full = (1 << k) - 1
+    finals = zip(cost.tolist(), loc.tolist(), served.tolist(), range(len(cost)))
+    _, _, at = min((c, starts[e], i) for c, e, s, i in finals if s == full)
 
-    # backtrack
+    # backtrack, recovering visit orders only for the winning batches
     steps = []
-    key = best_key
     for j in range(n_ev - 1, -1, -1):
-        parent_key, batch, order = back[j][key]
-        steps.append((j, batch, order))
-        key = parent_key
+        st, sub, start, end = (int(a[at]) for a in back[j])
+        order = _walk_order(parent, pts, start, int(pmask[sub]), end) if sub else []
+        steps.append((j, sub, order))
+        at = st
     steps.reverse()
 
     out_events = []

@@ -5,9 +5,10 @@ JSON in both regimes and the ``opt --trace`` JSON, plus runs of a few
 instances at benchmark sizes: request-regime runs of seeded instances,
 default-regime runs of seeded delay and deadline instances and an
 ``investment_star``, and ``opt`` traces of seeded instances at the
-oracle sizes of the ``verify-oracle`` workload.  Those inputs are
-stored under ``tests/golden/instances/`` so the gate does not depend on
-the generator.  ``tests/golden/charge-report/`` holds the full
+oracle sizes of the ``verify-oracle`` workload and of two near-tie
+delay families (``FAMILY``).  Those inputs are stored under
+``tests/golden/instances/`` so the gate does not depend on the
+generator.  ``tests/golden/charge-report/`` holds the full
 ``ChargeReport`` JSON of the default-regime run (``verify`` prints only
 the failed checks): with the optimum for the corpus and the oracle-size
 inputs, oracle-free for the engine-benchmark inputs.
@@ -114,8 +115,9 @@ def close_release_instance(seed: int) -> Instance:
 
 
 # (family, seed): delay inputs whose opt traces hinge on the oracle's
-# 1e-15 tie rule (a first-minimum rule, or a candidate of infinite cost
-# that still creates a state, changes each of them)
+# 1e-15 tie rule: a plain first-minimum rule changes all four, and a
+# candidate of infinite cost that still creates a state changes the
+# close-release two
 FAMILY = {"tenth-weight": tenth_weight_instance, "close-release": close_release_instance}
 SEEDED_FAMILY = [
     ("tenth-weight", 582810531),

@@ -26,6 +26,21 @@ def test_generate_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--points", "0"), ("--requests", "-1"), ("--horizon", "0"),
+    ("--horizon", "nan"), ("--horizon", "inf"),
+])
+def test_generate_bad_parameter_exit_2(tmp_path, capsys, flag, value):
+    """A parameter the generator cannot use is a usage error: exit 2, a
+    message and no file, never a traceback or NaN times."""
+    out = tmp_path / "inst.json"
+    code = main(["generate", "--seed", "1", "--points", "4", "--requests", "3",
+                 "--mode", "delay", "--out", str(out), flag, value])  # the last one wins
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: generator parameters")
+    assert not out.exists()
+
+
 def test_run_empty_instance(tmp_path, capsys):
     inst = tmp_path / "empty.json"
     _run(capsys, ["generate", "--seed", "1", "--points", "4", "--requests", "0",

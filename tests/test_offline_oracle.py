@@ -12,12 +12,16 @@ from metricserve.offline_oracle import (
     _DEADLINE_CAP,
     _DELAY_CAP,
     OracleCapError,
+    _walk_order,
+    _walk_table,
     opt_deadline,
     opt_delay,
     opt_edges_during,
 )
 
+from golden_traces import FAMILY
 from oracles import (
+    _BatchWalksReference,
     opt_deadline_bruteforce,
     opt_deadline_reference,
     opt_deadline_unrestricted,
@@ -255,3 +259,40 @@ def test_opt_deadline_with_negative_times():
         assert trace.total_cost == pytest.approx(
             opt_deadline_bruteforce(build_metric(inst.graph), inst)
         )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY))
+def test_opt_delay_matches_reference_near_ties(family):
+    """Tenth weights tie many plans up to rounding, so the 1e-15 rule
+    must be replayed where a first minimum is not clear; releases 1e-12
+    after an event give candidates of infinite cost, which must not
+    create states."""
+    rng = random.Random(family)
+    for _ in range(300):
+        _assert_same_trace(FAMILY[family](rng.randrange(10**9)))
+
+
+def test_walk_table_matches_reference_walks():
+    """Every (start, point subset, end) entry of the batch-walk table has
+    the cost and visit order of a Held-Karp run on that subset alone."""
+    rng = random.Random(113)
+    for trial in range(10):
+        inst = generate(seed=rng.randrange(10**9), n_points=rng.randint(2, 10),
+                        n_requests=rng.randint(1, _DELAY_CAP), mode="delay")
+        if trial % 2:
+            inst = _unit_weights(inst)
+        m = build_metric(inst.graph)
+        pts = sorted({q.point for q in inst.requests})
+        starts = pts + [inst.server_start] * (inst.server_start not in pts)
+        cost, parent, _ = _walk_table(m, starts, pts)
+        reference = _BatchWalksReference(m)
+        for s, start in enumerate(starts):
+            assert cost[s, 0].tolist() == [0.0 if e == s else math.inf for e in range(len(starts))]
+            for mask in range(1, 1 << len(pts)):
+                batch = tuple(p for i, p in enumerate(pts) if mask >> i & 1)
+                ends = {starts[e]: c for e, c in enumerate(cost[s, mask].tolist()) if c < math.inf}
+                assert ends == reference.end_costs(start, batch)
+                for e, end in enumerate(pts):
+                    if mask >> e & 1:
+                        order = tuple(_walk_order(parent, pts, s, mask, e))
+                        assert order == reference.order(start, batch, end)
