@@ -244,14 +244,14 @@ def _walk_table(m: MetricSpace, starts: list[int], pts: list[int]):
     bit = 1 << np.arange(p)
     inside = (np.arange(1 << p)[:, None] & bit) != 0
     cost = np.full((ns, 1 << p, ns), np.inf)
-    parent = np.full((ns, 1 << p, ns), -1, dtype=np.int8)
+    parent = np.full(cost.shape, -1, dtype=np.int8)
     cost[np.arange(ns), 0, np.arange(ns)] = 0.0
     cost[:, bit, np.arange(p)] = m.dist[np.ix_(starts, pts)]
     for size in range(2, p + 1):
         tgt, nxt = np.nonzero(inside & (inside.sum(1) == size)[:, None])
         prev = tgt ^ bit[nxt]
         best = np.full((ns, len(tgt)), np.inf)
-        arg = np.full((ns, len(tgt)), -1, dtype=np.int8)
+        arg = np.full(best.shape, -1, dtype=np.int8)
         for last in range(p):
             cand = cost[:, prev, last] + d[last, nxt]
             better = cand < best - 1e-15
@@ -350,9 +350,8 @@ def opt_delay(inst: Instance) -> OptTrace:
         back.append((st[win], sub[win], start[win], end[win]))
         loc, served, cost = end[win], served[st[win]] | sub[win], c[win]
 
-    full = (1 << k) - 1
-    finals = zip(cost.tolist(), loc.tolist(), served.tolist(), range(len(cost)))
-    _, _, at = min((c, starts[e], i) for c, e, s, i in finals if s == full)
+    # every request is released by the last event, so every state has served all
+    _, _, at = min((c, starts[e], i) for i, (c, e) in enumerate(zip(cost.tolist(), loc.tolist())))
 
     # backtrack, recovering visit orders only for the winning batches
     steps = []
