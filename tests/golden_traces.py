@@ -4,7 +4,8 @@
 JSON in both regimes and the ``opt --trace`` JSON, plus runs of a few
 instances at benchmark sizes: request-regime runs of seeded instances,
 default-regime runs of seeded delay and deadline instances and an
-``investment_star``, and ``opt`` traces of seeded instances at the
+``investment_star`` (two of the deadline inputs have a service whose
+Steiner growth stops before the last eligible request), and ``opt`` traces of seeded instances at the
 oracle sizes of the ``verify-oracle`` workload and of two near-tie
 delay families (``FAMILY``).  Those inputs are stored under
 ``tests/golden/instances/`` so the gate does not depend on the
@@ -70,6 +71,15 @@ SEEDED_RUN = [
     ("deadline", 200, 300, 42),
 ]
 STAR_LEAVES = 120
+
+# (mode, n_points, n_requests, seed): deadline-sparse-size inputs, run in
+# the default regime, each with one service whose tree reaches its budget
+# although twice the tree over all its eligible requests does not, so
+# growth stops early (21 -> 15 and 35 -> 17 served)
+SEEDED_EARLY_STOP = [
+    ("deadline", 200, 300, 48),
+    ("deadline", 200, 300, 59),
+]
 
 # (mode, n_points, n_requests, seed): the verify-oracle benchmark sizes,
 # whose opt traces run the exact oracles at or near their request caps
@@ -152,7 +162,7 @@ def stored_instances() -> dict[str, Instance]:
         seeded_name(mode, n, m, seed): generate(
             seed=seed, n_points=n, n_requests=m, mode=mode
         )
-        for mode, n, m, seed in SEEDED + SEEDED_RUN + SEEDED_OPT
+        for mode, n, m, seed in SEEDED + SEEDED_RUN + SEEDED_EARLY_STOP + SEEDED_OPT
     }
     out[f"investment_star-{STAR_LEAVES}"] = investment_star(STAR_LEAVES)
     for family, seed in SEEDED_FAMILY:
@@ -166,7 +176,10 @@ def cases() -> list[tuple[str, Path]]:
     out += [
         ("run-request-regime", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED
     ]
-    out += [("run", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_RUN]
+    out += [
+        ("run", INSTANCES / f"{seeded_name(*spec)}.json")
+        for spec in SEEDED_RUN + SEEDED_EARLY_STOP
+    ]
     out += [("run", INSTANCES / f"investment_star-{STAR_LEAVES}.json")]
     out += [("opt", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_OPT]
     out += [("opt", INSTANCES / f"delay-{family}-s{seed}.json") for family, seed in SEEDED_FAMILY]
