@@ -2,7 +2,9 @@
 
 Every command prints a JSON summary on standard output.  Exit codes:
 0 success, 1 structural-check failure (verify), 2 usage or input error
-(including malformed instance documents and disconnected graphs).
+(including unreadable or malformed instance documents, disconnected
+graphs, output paths that cannot be written and a NaN ``--horizon``).
+An input error prints one ``error:`` line and writes no output file.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import argparse
 import csv
 import functools
 import glob as globlib
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,11 +37,25 @@ class _UsageError(Exception):
 
 def _load_instance(path: str) -> Instance:
     try:
-        return parse_instance(Path(path).read_text())
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise _UsageError(f"instance file not found: {path}") from exc
+    except OSError as exc:
+        raise _UsageError(f"cannot read instance {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"bad instance {path}: not UTF-8 text ({exc.reason})") from exc
+    try:
+        return parse_instance(text)
     except InstanceFormatError as exc:
         raise _UsageError(f"bad instance {path}: {exc}") from exc
+
+
+def _write(path: str, text: str, newline: str | None = None) -> None:
+    try:
+        with open(path, "w", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit(doc: dict) -> None:
@@ -55,8 +73,7 @@ def _cmd_generate(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    text = serialize_instance(inst)
-    Path(args.out).write_text(text)
+    _write(args.out, serialize_instance(inst))
     _emit(
         {
             "command": "generate",
@@ -71,6 +88,8 @@ def _cmd_generate(args) -> int:
 
 
 def _run_trace(inst: Instance, request_regime: bool, horizon: float | None):
+    if horizon is not None and math.isnan(horizon):
+        raise _UsageError("--horizon must be a number, got nan")
     if inst.mode == "deadline":
         return run_deadline(inst, request_regime=request_regime)
     return run_delay(inst, request_regime=request_regime, horizon=horizon)
@@ -86,7 +105,7 @@ def _cmd_run(args) -> int:
         raise _UsageError(f"instance mode is {inst.mode}, got --mode {args.mode}")
     trace = _run_trace(inst, args.request_regime, args.horizon)
     if args.trace:
-        Path(args.trace).write_text(trace.to_json())
+        _write(args.trace, trace.to_json())
     doc = {
         "command": "run",
         "instance": args.instance,
@@ -109,7 +128,7 @@ def _cmd_opt(args) -> int:
     except OracleCapError as exc:
         raise _UsageError(str(exc)) from exc
     if args.trace:
-        Path(args.trace).write_text(trace.to_json())
+        _write(args.trace, trace.to_json())
     _emit(
         {
             "command": "opt",
@@ -205,10 +224,11 @@ def _cmd_report(args) -> int:
         rows.append(row)
         for level, count in histogram.items():
             level_histogram[level] = level_histogram.get(level, 0) + count
-    with open(args.csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=_CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(args.csv, table.getvalue(), newline="")
     ratios = [float(r["ratio"]) for r in rows if r["ratio"]]
     _emit(
         {

@@ -10,11 +10,19 @@ tours the final tree depth-first, upgrades the unserved eligible
 requests one level above the service, and relocates to the trigger if
 the service was primary (adjusted level dictated by distance).
 
-Each growth step hands the previous step's tree to ``steiner_approx`` as
-``grow_from``, so a step only adds the new terminal's closure edges to
-the carried closure MST; the trees, and so the traces, are exactly those
-of solving every step from scratch (see ``steiner``).  Shortest-path
-expansions are memoised on the metric and live as long as it does.
+Most services never reach the budget, and a certificate proves it with
+one Steiner call: the tree of any prefix costs at most twice the
+optimum over the prefix (Kou, Markowsky and Berman 1981), which is at
+most twice the tree over every eligible request.  When that bound plus
+a rounding margin (``steiner.certificate_margin``) stays under the
+budget, the service serves every eligible request along the tree over
+all of them, which is what the growth loop would have ended with.
+Otherwise each growth step hands the previous step's tree to
+``steiner_approx`` as ``grow_from``, so a step only adds the new
+terminal's closure edges to the carried closure MST; the trees, and so
+the traces, are exactly those of solving every step from scratch (see
+``steiner``).  Shortest-path expansions are memoised on the metric and
+live as long as it does.
 
 The walk rule fixes what the tour leaves open: start -> trigger, DFS of
 the tree from the trigger with children by ascending node id, back to
@@ -33,7 +41,7 @@ from .instance import Instance, distinct_deadlines_normalize
 from .levels import clamp_bottom, level_le
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
-from .steiner import steiner_approx
+from .steiner import certificate_margin, steiner_approx
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
 __all__ = ["ServiceRecord", "DeadlineTrace", "DeadlineEngine", "run_deadline"]
@@ -82,6 +90,37 @@ class DeadlineEngine(EngineCore):
     """Deadline-mode online state; ``upon_deadline`` performs a service."""
 
     def upon_deadline(self, qid: int) -> ServiceRecord:
+        """Serve the deadline of pending request ``qid``.
+
+        Certificate.  Let ``full`` be ``steiner_approx`` over the points of
+        every eligible request, and P any prefix of them in deadline
+        order.  The growth loop's tree over P is the batch tree over P
+        (see ``steiner``): the metric-closure MST over P, each edge
+        expanded into a shortest path, the union deduplicated by Kruskal
+        and leaf-pruned.  The closure MST costs at most 2 * OPT(P) (Kou,
+        Markowsky and Berman 1981), OPT(P) <= OPT(eligible) since a tree
+        over all of them spans P, and OPT(eligible) <= ``full.cost``.  The
+        margin ``certificate_margin(len(eligible), space.n, budget)``
+        covers the three ways the code departs from that argument:
+
+        - ``MetricSpace._walk`` accepts a hop when it is within
+          ``EPS_GEO`` of the remaining distance; the bound telescopes,
+          and the last hop lands on ``d(v, v) = 0``, so an expanded path
+          exceeds its closure edge by at most ``EPS_GEO``, and the at
+          most ``len(eligible) - 1`` closure edges add at most
+          ``(len(eligible) - 1) * EPS_GEO`` over the closure MST;
+        - deduplication and leaf pruning only remove weight;
+        - float rounding, in the distances and in the summed costs, is
+          relative to quantities below the budget and far under ``1e-9``
+          of it.
+
+        So every prefix tree costs at most ``2 * full.cost + margin``, and
+        when that is below ``budget - EPS_VAL`` no prefix stops the loop:
+        it would serve every eligible request along the tree over all of
+        them, which is ``full``.  The certified service takes that result
+        directly; otherwise the loop runs.  A larger margin only certifies
+        fewer services, which then grow the tree.
+        """
         if qid not in self.pending:
             raise RuntimeError(f"scheduler bug: deadline fired for non-pending {qid}")
         trigger = self.requests[qid]
@@ -99,15 +138,19 @@ class DeadlineEngine(EngineCore):
         assert eligible and eligible[0] == qid
 
         space = self.space()
-        chosen: list[int] = []
-        terminals: set[int] = set()
-        tree = None
-        for rid in eligible:
-            chosen.append(rid)
-            terminals.add(space.index[self.requests[rid].point])
-            tree = steiner_approx(space, terminals, grow_from=tree)
-            if tree.cost >= budget - config.EPS_VAL:
-                break
+        chosen = eligible
+        tree = steiner_approx(space, {space.index[self.requests[rid].point] for rid in eligible})
+        margin = certificate_margin(len(eligible), space.n, budget)
+        if 2.0 * tree.cost >= budget - config.EPS_VAL - margin:
+            chosen = []
+            terminals: set[int] = set()
+            tree = None
+            for rid in eligible:
+                chosen.append(rid)
+                terminals.add(space.index[self.requests[rid].point])
+                tree = steiner_approx(space, terminals, grow_from=tree)
+                if tree.cost >= budget - config.EPS_VAL:
+                    break
 
         pts = space.points
         tour = tree_dfs_nodes([(pts[u], pts[v]) for u, v in tree.tree_edges], trigger.point)

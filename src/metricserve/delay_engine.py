@@ -52,18 +52,10 @@ from .levels import BOTTOM, clamp_bottom, level_le
 from .metric import MetricSpace
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
-from .steiner import PcstSolution, pcst_approx, steiner_approx
+from .steiner import PcstSolution, certificate_margin, pcst_approx, steiner_approx
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
 __all__ = ["CriticalEvent", "DelayServiceRecord", "DelayTrace", "DelayEngine", "run_delay"]
-
-
-def certificate_margin(n_terminals: int, n_nodes: int, scale: float) -> float:
-    """Additive slack of ``pcst_approx`` over twice the optimum, for a
-    solve with ``n_terminals`` penalised nodes in a space of ``n_nodes``
-    nodes whose costs are at most ``scale`` (see
-    ``DelayEngine._forwarding_time``)."""
-    return (n_terminals + n_nodes + 1) * config.EPS_VAL + 1e-9 * scale
 
 
 @dataclass(frozen=True)

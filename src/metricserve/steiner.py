@@ -60,6 +60,7 @@ __all__ = [
     "pcst_approx",
     "pcst_exact",
     "infinite_penalty",
+    "certificate_margin",
 ]
 
 _EXACT_TERMINAL_CAP = 10
@@ -97,6 +98,15 @@ def infinite_penalty(m: MetricSpace) -> float:
     """Finite stand-in for an infinite penalty: forces service whenever
     connecting is at all possible (larger than 10x the total graph weight)."""
     return 10.0 * m.total_weight() + 1.0
+
+
+def certificate_margin(n_terminals: int, n_nodes: int, scale: float) -> float:
+    """Additive slack of ``steiner_approx`` and ``pcst_approx`` over twice
+    the optimum, for a solve with ``n_terminals`` terminals in a space of
+    ``n_nodes`` nodes whose costs are at most ``scale``.  The engines'
+    certificates rest on it: see ``DeadlineEngine.upon_deadline`` and
+    ``DelayEngine._forwarding_time`` for what it covers."""
+    return (n_terminals + n_nodes + 1) * config.EPS_VAL + 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -259,3 +259,66 @@ def test_report_builds_one_metric_per_row(tmp_path, capsys, metric_builds):
     assert code == 0
     assert json.loads(out)["instances"] == len(paths)
     assert len(metric_builds) == len(paths)
+
+
+@pytest.fixture
+def small_instance(tmp_path, capsys):
+    path = tmp_path / "small.json"
+    _run(capsys, ["generate", "--seed", "4", "--points", "5", "--requests", "4",
+                  "--mode", "delay", "--out", str(path)])
+    return path
+
+
+def _input_error(capsys, argv, message):
+    """The command exits 2 with one ``error:`` line naming the fault and
+    prints no summary."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def _instance_argv(command, path, tmp_path):
+    if command == "report":
+        return ["report", "--glob", str(path), "--csv", str(tmp_path / "r.csv")]
+    return [command, "--instance", str(path)]
+
+
+@pytest.mark.parametrize("command", ["run", "opt", "verify", "report"])
+def test_directory_instance_exit_2(tmp_path, capsys, command):
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    _input_error(capsys, _instance_argv(command, folder, tmp_path), "cannot read instance")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "opt", "verify", "report"])
+def test_non_utf8_instance_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(NEGATIVE_TIMES).encode() + b" \xe9\xff")
+    _input_error(capsys, _instance_argv(command, path, tmp_path), "not UTF-8")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "opt", "report"])
+def test_unwritable_output_exit_2(tmp_path, capsys, small_instance, command):
+    target = tmp_path / "missing" / "out"
+    argv = {
+        "generate": ["generate", "--seed", "1", "--points", "4", "--requests", "3",
+                     "--mode", "delay", "--out", str(target)],
+        "run": ["run", "--instance", str(small_instance), "--trace", str(target)],
+        "opt": ["opt", "--instance", str(small_instance), "--trace", str(target)],
+        "report": ["report", "--glob", str(small_instance), "--csv", str(target)],
+    }[command]
+    _input_error(capsys, argv, f"cannot write {target}")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_nan_horizon_exit_2(capsys, small_instance, command):
+    """A NaN horizon stops a delay run before any service; it must not
+    pass as an empty run or a verified one."""
+    _input_error(capsys, [command, "--instance", str(small_instance), "--horizon", "nan"],
+                 "--horizon")

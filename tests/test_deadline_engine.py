@@ -258,3 +258,90 @@ def test_deadline_run_expands_each_path_once(monkeypatch):
     path = INSTANCES / "deadline-n200-m300-s41.json"
     assert render("run", path) == golden_path("run", path).read_text()
     assert walked and len(walked) == len(set(walked))
+
+
+def test_traces_unchanged_with_steiner_certificate_off(monkeypatch):
+    """An infinite margin certifies no service, so every service grows its
+    tree prefix by prefix.  Every deadline golden still matches, and 100
+    seeded instances with up to 30 points and 40 requests give the same
+    trace with the certificate on and off, in both regimes."""
+    import metricserve.deadline_engine as engine_module
+    from golden_traces import cases, golden_path, render
+    from metricserve.instance import parse_instance
+    from metricserve.steiner import steiner_approx
+
+    calls = [0]
+
+    def counted(space, terminals, grow_from=None):
+        calls[0] += 1
+        return steiner_approx(space, terminals, grow_from=grow_from)
+
+    monkeypatch.setattr(engine_module, "steiner_approx", counted)
+    rng = random.Random(1212)
+    runs = []
+    for _ in range(100):
+        inst = generate(
+            seed=rng.randrange(10**9),
+            n_points=rng.randint(2, 30),
+            n_requests=rng.randint(1, 40),
+            mode="deadline",
+        )
+        runs += [(inst, False), (inst, True)]
+    with_certificate = [run_deadline(inst, request_regime=rr).to_json() for inst, rr in runs]
+    calls_on, calls[0] = calls[0], 0
+
+    monkeypatch.setattr(engine_module, "certificate_margin", lambda *args: math.inf)
+    for (inst, rr), want in zip(runs, with_certificate):
+        assert run_deadline(inst, request_regime=rr).to_json() == want
+    assert calls_on < calls[0]  # the certificate fired in the seeded runs
+    goldens = [
+        (c, p) for c, p in cases()
+        if c.startswith("run") and parse_instance(p.read_text()).mode == "deadline"
+    ]
+    assert any(p.stem.endswith(("-s48", "-s59")) for _, p in goldens)
+    for command, path in goldens:
+        assert render(command, path) == golden_path(command, path).read_text(), path.name
+
+
+def test_certified_service_makes_one_steiner_call(monkeypatch):
+    """A certified service makes one steiner_approx call, over every
+    eligible request, and serves them all; a service that is not certified
+    makes one more per request it serves.  The seed-48 input has both
+    kinds, and one service that stops growing early."""
+    import metricserve.deadline_engine as engine_module
+    from golden_traces import INSTANCES
+    from metricserve import config
+    from metricserve.instance import parse_instance
+    from metricserve.steiner import certificate_margin, steiner_approx
+
+    decisions = []
+    real_upon = DeadlineEngine.upon_deadline
+
+    def upon(self, qid):
+        decisions.append({"costs": [], "n": self.space().n})
+        decisions[-1]["record"] = real_upon(self, qid)
+        return decisions[-1]["record"]
+
+    def counted(space, terminals, grow_from=None):
+        solution = steiner_approx(space, terminals, grow_from=grow_from)
+        decisions[-1]["costs"].append(solution.cost)
+        return solution
+
+    monkeypatch.setattr(DeadlineEngine, "upon_deadline", upon)
+    monkeypatch.setattr(engine_module, "steiner_approx", counted)
+    inst = parse_instance((INSTANCES / "deadline-n200-m300-s48.json").read_text())
+    run_deadline(inst)
+    kinds = {"certified": 0, "grown": 0, "stopped early": 0}
+    for d in decisions:
+        s = d["record"]
+        budget = 4.0 * 2.0**s.level
+        margin = certificate_margin(len(s.eligible_ids), d["n"], budget)
+        if 2.0 * d["costs"][0] < budget - config.EPS_VAL - margin:
+            kinds["certified"] += 1
+            assert len(d["costs"]) == 1 and s.served_ids == s.eligible_ids
+        else:
+            kinds["grown"] += 1
+            assert len(d["costs"]) == 1 + len(s.served_ids)
+            if s.served_ids != s.eligible_ids:
+                kinds["stopped early"] += 1
+    assert kinds == {"certified": len(decisions) - 1, "grown": 1, "stopped early": 1}

@@ -384,7 +384,7 @@ def test_certified_search_solves_once(monkeypatch):
     some search is not certified and bisects, so the scan stays covered."""
     import metricserve.delay_engine as engine_module
     from metricserve import config
-    from metricserve.delay_engine import certificate_margin
+    from metricserve.steiner import certificate_margin
     from metricserve.instance import investment_star
     from metricserve.steiner import pcst_approx, steiner_approx
 
