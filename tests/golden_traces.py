@@ -5,9 +5,9 @@ JSON in both regimes and the ``opt --trace`` JSON, plus runs of a few
 instances at benchmark sizes: request-regime runs of seeded instances,
 default-regime runs of seeded delay and deadline instances and an
 ``investment_star`` (two of the deadline inputs have a service whose
-Steiner growth stops before the last eligible request), and ``opt`` traces of seeded instances at the
-oracle sizes of the ``verify-oracle`` workload and of two near-tie
-delay families (``FAMILY``).  Those inputs are stored under
+Steiner growth stops before the last eligible request), and ``opt``
+traces of seeded instances at the oracle sizes of the ``verify-oracle``
+workload and of two near-tie delay families (``FAMILY``).  Those inputs are stored under
 ``tests/golden/instances/`` so the gate does not depend on the
 generator.  ``tests/golden/charge-report/`` holds the full
 ``ChargeReport`` JSON of the default-regime run (``verify`` prints only
