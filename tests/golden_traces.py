@@ -2,12 +2,14 @@
 
 ``tests/golden/`` holds, for every ``corpus/*.json``, the ``run --trace``
 JSON in both regimes and the ``opt --trace`` JSON, plus runs of a few
-instances at benchmark sizes: request-regime runs of seeded instances,
-default-regime runs of seeded delay and deadline instances and an
-``investment_star`` (two of the deadline inputs have a service whose
-Steiner growth stops before the last eligible request), and ``opt``
-traces of seeded instances at the oracle sizes of the ``verify-oracle``
-workload and of two near-tie delay families (``FAMILY``).  Those inputs are stored under
+instances at benchmark sizes: request-regime runs of seeded instances
+(and of three past those sizes: two whose closures reach 155 and 47
+points, one with unit edge weights), default-regime runs of seeded delay
+and deadline instances and an ``investment_star`` (two of the deadline
+inputs have a service whose Steiner growth stops before the last
+eligible request), and ``opt`` traces of seeded instances at the oracle
+sizes of the ``verify-oracle`` workload and of two near-tie delay
+families (``FAMILY``).  Those inputs are stored under
 ``tests/golden/instances/`` so the gate does not depend on the
 generator.  ``tests/golden/charge-report/`` holds the full
 ``ChargeReport`` JSON of the default-regime run (``verify`` prints only
@@ -71,6 +73,18 @@ SEEDED_RUN = [
     ("deadline", 200, 300, 42),
 ]
 STAR_LEAVES = 120
+
+# (mode, n_points, n_requests, seed): request-regime inputs past the
+# benchmark sizes, whose closures reach 155 points (deadline) and 47 (delay)
+SEEDED_LARGE_CLOSURE = [
+    ("deadline", 200, 300, 5),
+    ("delay", 60, 80, 71),
+]
+
+# (mode, n_points, n_requests, seed): request-regime inputs with every edge
+# weight 1, so the closure's distances are integers and its shortest-path
+# walks choose between tied neighbors
+SEEDED_UNIT = [("deadline", 60, 90, 81)]
 
 # (mode, n_points, n_requests, seed): deadline-sparse-size inputs, run in
 # the default regime, each with one service whose tree reaches its budget
@@ -156,14 +170,24 @@ def seeded_name(mode: str, n: int, m: int, seed: int) -> str:
     return f"{mode}-n{n}-m{m}-s{seed}"
 
 
+def unit_name(mode: str, n: int, m: int, seed: int) -> str:
+    return f"{mode}-unit-n{n}-m{m}-s{seed}"
+
+
 def stored_instances() -> dict[str, Instance]:
     """File stem -> instance, for every input kept under ``INSTANCES``."""
     out = {
         seeded_name(mode, n, m, seed): generate(
             seed=seed, n_points=n, n_requests=m, mode=mode
         )
-        for mode, n, m, seed in SEEDED + SEEDED_RUN + SEEDED_EARLY_STOP + SEEDED_OPT
+        for mode, n, m, seed in (
+            SEEDED + SEEDED_LARGE_CLOSURE + SEEDED_RUN + SEEDED_EARLY_STOP + SEEDED_OPT
+        )
     }
+    for mode, n, m, seed in SEEDED_UNIT:
+        out[unit_name(mode, n, m, seed)] = generate(
+            seed=seed, n_points=n, n_requests=m, mode=mode, weight_range=(1.0, 1.0)
+        )
     out[f"investment_star-{STAR_LEAVES}"] = investment_star(STAR_LEAVES)
     for family, seed in SEEDED_FAMILY:
         out[f"delay-{family}-s{seed}"] = FAMILY[family](seed)
@@ -174,7 +198,11 @@ def cases() -> list[tuple[str, Path]]:
     """(command, instance path) of every golden file."""
     out = [(cmd, p) for p in sorted(CORPUS.glob("*.json")) for cmd in COMMANDS]
     out += [
-        ("run-request-regime", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED
+        ("run-request-regime", INSTANCES / f"{seeded_name(*spec)}.json")
+        for spec in SEEDED + SEEDED_LARGE_CLOSURE
+    ]
+    out += [
+        ("run-request-regime", INSTANCES / f"{unit_name(*spec)}.json") for spec in SEEDED_UNIT
     ]
     out += [
         ("run", INSTANCES / f"{seeded_name(*spec)}.json")
