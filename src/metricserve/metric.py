@@ -24,7 +24,7 @@ the construction: each edge loses at most ``2 r / rho`` to holes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -115,13 +115,14 @@ class MetricSpace:
     """Immutable all-pairs shortest-path metric over a weighted graph.
 
     Node i stands for point ``points[i]`` of the metric the space was
-    restricted from; a graph metric maps every node to itself.
+    restricted from; a graph metric maps every node to itself.  The graph's
+    edges are ``_edge_weight``; ``dist`` is exactly symmetric (``_relax``
+    does the same float operations on (i, j) and (j, i)), with a zero diagonal.
     """
 
     n: int
     dist: np.ndarray
     d_min: float
-    source_graph: WeightedGraph
     points: tuple[int, ...]
     _adj: dict[int, list[tuple[int, float]]] = field(repr=False, default_factory=dict)
     _edge_weight: dict[tuple[int, int], float] = field(repr=False, default_factory=dict)
@@ -188,41 +189,37 @@ class MetricSpace:
 
 
 def build_metric(g: WeightedGraph) -> MetricSpace:
-    """All-pairs shortest paths via Floyd-Warshall relaxation.
-
-    Raises DisconnectedGraphError when some pair is unreachable.
-    """
+    """All-pairs shortest paths via Floyd-Warshall relaxation (``_relax``)."""
     n = g.node_count
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     adj: dict[int, list[tuple[int, float]]] = {u: [] for u in range(n)}
     edge_weight: dict[tuple[int, int], float] = {}
     for u, v, w in g.edges:
-        dist[u, v] = min(dist[u, v], w)
-        dist[v, u] = min(dist[v, u], w)
         adj[u].append((v, w))
         adj[v].append((u, w))
         edge_weight[(min(u, v), max(u, v))] = w
-    for u in adj:
-        adj[u].sort()
-    for k in range(n):
+    # one write per entry: WeightedGraph rejects duplicate edges and self-loops
+    us, vs, ws = zip(*g.edges) if g.edges else ((), (), ())
+    dist[us, vs] = dist[vs, us] = ws
+    adj = {u: sorted(nbrs) for u, nbrs in adj.items()}
+    return _relax(dist, tuple(range(n)), adj, edge_weight)
+
+
+def _relax(dist: np.ndarray, points, adj, edge_weight) -> MetricSpace:
+    """Floyd-Warshall rounds on ``dist`` in place, k ascending, into a space;
+    raises DisconnectedGraphError when some pair is unreachable."""
+    buf = np.empty_like(dist)
+    for k in range(len(dist)):
         # in place: row and column k do not change in round k (dist[k, k] == 0)
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+        np.minimum(dist, np.add(dist[:, k, None], dist[None, k, :], out=buf), out=dist)
+    del buf  # so that it never coexists with the d_min copy below
     if np.isinf(dist).any():
         bad = int(np.argwhere(np.isinf(dist))[0][1])
         raise DisconnectedGraphError(f"graph is disconnected: node {bad} unreachable")
-    positive = dist[dist > 0]
-    d_min = float(positive.min()) if positive.size else 1.0
+    d_min = float(dist[dist > 0].min()) if len(dist) > 1 else 1.0
     dist.setflags(write=False)
-    return MetricSpace(
-        n=n,
-        dist=dist,
-        d_min=d_min,
-        source_graph=g,
-        points=tuple(range(n)),
-        _adj=adj,
-        _edge_weight=edge_weight,
-    )
+    return MetricSpace(len(dist), dist, d_min, points, adj, edge_weight)
 
 
 def ball_points(m: MetricSpace, v: int, r: float) -> frozenset[int]:
@@ -354,17 +351,20 @@ def shapes_edge_disjoint(m: MetricSpace, a: Shape, b: Shape) -> bool:
 
 
 def complete_graph_on(m: MetricSpace, points) -> MetricSpace:
-    """Metric closure over a subset of m's points.
-
-    The complete graph over the sorted points, weighted by m's distances,
-    run through ``build_metric``; its node i stands for the i-th point.
-    The request regime restricts tree computations to released points
-    this way.
-    """
+    """Metric closure over a nonempty subset of m's nodes: the complete graph
+    over the sorted points, weighted by m's distances, whose node i stands for
+    the i-th point (the request regime's tree space).  With ``m.dist`` exactly
+    symmetric and zero on the diagonal, the slice ``m.dist[np.ix_(pts, pts)]``
+    is entry for entry the matrix ``build_metric`` starts that graph from, so
+    the same ``_relax`` rounds give the same distances byte for byte."""
     pts = sorted(set(points))
-    edges = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            edges.append((i, j, m.distance(pts[i], pts[j])))
-    closure = build_metric(WeightedGraph(node_count=len(pts), edges=tuple(edges)))
-    return replace(closure, points=tuple(pts))
+    if not pts or pts[0] < 0 or pts[-1] >= m.n:
+        raise ValueError(f"closure points must be a nonempty subset of range({m.n})")
+    dist = m.dist[np.ix_(pts, pts)]
+    # what WeightedGraph checked of the edges: finite, positive weights
+    if not (np.isfinite(dist).all() and np.count_nonzero(dist > 0) == len(pts) ** 2 - len(pts)):
+        raise ValueError("closure weights must be finite and positive off the diagonal")
+    w = dist.tolist()
+    adj = {i: [(j, x) for j, x in enumerate(row) if j != i] for i, row in enumerate(w)}
+    edge_weight = {(i, j): row[j] for i, row in enumerate(w) for j in range(i + 1, len(w))}
+    return _relax(dist, tuple(pts), adj, edge_weight)

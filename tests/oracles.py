@@ -6,16 +6,18 @@ routes stay independent: Floyd-style relaxation for distances, linear
 scans for balls, pure interval arithmetic for measures, subset/permutation
 enumeration for trees and offline optima.
 
-The one exception is the last section: the scalar push-form exact
-oracles, kept as they were before the library oracles were vectorised.
-They are references for trace equality (ties and visit orders), not
-independent routes.
+The exceptions are the last two sections: the metric closure built
+through the complete graph's edge list, and the scalar push-form exact
+oracles, kept as they were before the library versions were sped up.
+They are references for byte and trace equality (ties and visit
+orders), not independent routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 from metricserve import config
 from metricserve.instance import Instance
@@ -297,6 +299,25 @@ def opt_delay_exhaustive(m: MetricSpace, inst: Instance) -> float:
             frontier = nxt
         best = min(best, min(frontier.values()) + total_delay)
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference metric closure: the complete graph's edge list through
+# WeightedGraph and build_metric, kept so that the sliced closure can be
+# checked against it byte for byte
+# ---------------------------------------------------------------------------
+
+
+def complete_graph_on_reference(m: MetricSpace, points) -> MetricSpace:
+    """The closure over ``points`` as the complete graph on the sorted points,
+    weighted by m's distances and run through ``build_metric``."""
+    pts = sorted(set(points))
+    edges = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            edges.append((i, j, m.distance(pts[i], pts[j])))
+    closure = build_metric(WeightedGraph(node_count=len(pts), edges=tuple(edges)))
+    return replace(closure, points=tuple(pts))
 
 
 # ---------------------------------------------------------------------------

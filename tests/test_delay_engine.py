@@ -23,8 +23,13 @@ def _delay_instance(graph, start, reqs):
 
 
 @pytest.fixture
-def unit_edge_metric():
-    return build_metric(WeightedGraph(node_count=2, edges=((0, 1, 1.0),)))
+def unit_edge_graph():
+    return WeightedGraph(node_count=2, edges=((0, 1, 1.0),))
+
+
+@pytest.fixture
+def unit_edge_metric(unit_edge_graph):
+    return build_metric(unit_edge_graph)
 
 
 def test_residual_delay_formula(unit_edge_metric):
@@ -141,12 +146,10 @@ def test_crossings_match_grid_scan():
         assert abs(found - ev.time) < 1e-3
 
 
-def test_single_request_service_hand_stepped(unit_edge_metric):
+def test_single_request_service_hand_stepped(unit_edge_graph):
     """Distance-1 request, unit slope: crossing at t=1 fires a level-3 service
     that serves the request, then relocates into the concentrated-delay ball."""
-    inst = _delay_instance(
-        unit_edge_metric.source_graph, 0, [_slope_request(0, 1, 0.0, 1.0)]
-    )
+    inst = _delay_instance(unit_edge_graph, 0, [_slope_request(0, 1, 0.0, 1.0)])
     trace = run_delay(inst)
     assert not trace.horizon_exhausted
     assert len(trace.services) == 1
@@ -163,10 +166,8 @@ def test_single_request_service_hand_stepped(unit_edge_metric):
     assert trace.final_position == 1
 
 
-def test_collocated_requests_served_at_zero_movement(unit_edge_metric):
-    inst = _delay_instance(
-        unit_edge_metric.source_graph, 1, [_slope_request(0, 1, 0.0, 2.0)]
-    )
+def test_collocated_requests_served_at_zero_movement(unit_edge_graph, unit_edge_metric):
+    inst = _delay_instance(unit_edge_graph, 1, [_slope_request(0, 1, 0.0, 2.0)])
     trace = run_delay(inst)
     assert trace.movement_cost == 0.0
     assert len(trace.services) == 1
@@ -176,16 +177,14 @@ def test_collocated_requests_served_at_zero_movement(unit_edge_metric):
     assert s.level == min_level(unit_edge_metric) + 3
 
 
-def test_empty_delay_instance(unit_edge_metric):
-    trace = run_delay(_delay_instance(unit_edge_metric.source_graph, 0, []))
+def test_empty_delay_instance(unit_edge_graph):
+    trace = run_delay(_delay_instance(unit_edge_graph, 0, []))
     assert trace.total_cost == 0.0
     assert not trace.horizon_exhausted
 
 
-def test_horizon_exhaustion_flagged(unit_edge_metric):
-    inst = _delay_instance(
-        unit_edge_metric.source_graph, 0, [_slope_request(0, 1, 0.0, 0.001)]
-    )
+def test_horizon_exhaustion_flagged(unit_edge_graph):
+    inst = _delay_instance(unit_edge_graph, 0, [_slope_request(0, 1, 0.0, 0.001)])
     trace = run_delay(inst, horizon=5.0)
     assert trace.horizon_exhausted
     assert trace.pending_ids == (0,)

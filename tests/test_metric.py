@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from metricserve import metric
 from metricserve.metric import (
     Ball,
     DisconnectedGraphError,
+    MetricSpace,
     PerforatedBall,
     WeightedGraph,
     ball_points,
@@ -22,6 +24,7 @@ from conftest import random_graph
 from oracles import (
     ball_buries_an_edge,
     ball_scan,
+    complete_graph_on_reference,
     floyd_distances,
     interval_ball_measure,
 )
@@ -269,3 +272,59 @@ def test_complete_graph_on_subset():
     for i, p in enumerate(sub_m.points):
         for j, q in enumerate(sub_m.points):
             assert sub_m.distance(i, j) == pytest.approx(m.distance(p, q))
+
+
+def _assert_same_space(got, ref):
+    assert got.dist.tobytes() == ref.dist.tobytes()
+    assert (got.n, got.d_min, got.points) == (ref.n, ref.d_min, ref.points)
+    assert got._adj == ref._adj
+    assert got._edge_weight == ref._edge_weight
+    assert got.edges == ref.edges
+    assert not got.dist.flags.writeable
+
+
+def test_complete_graph_on_matches_edge_list_reference():
+    """300 seeded parents, float and unit weights, four closures each: a
+    singleton, the full point set, a random subset and a closure of that
+    subset's closure, all byte-equal to the edge-list construction."""
+    rng = random.Random(1301)
+    for trial in range(300):
+        n = rng.randint(1, 24)
+        weights = (1.0, 1.0) if trial % 2 else (1.0, 10.0)
+        m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(n + 1),
+                                      weight_range=weights))
+        subset = rng.sample(range(n), rng.randint(1, n))
+        for pts in ([rng.randrange(n)], range(n), subset):
+            _assert_same_space(complete_graph_on(m, pts), complete_graph_on_reference(m, pts))
+        inner = complete_graph_on_reference(m, subset)
+        pts = rng.sample(range(inner.n), rng.randint(1, inner.n))
+        _assert_same_space(complete_graph_on(complete_graph_on(m, subset), pts),
+                           complete_graph_on_reference(inner, pts))
+
+
+def test_complete_graph_on_does_not_build_a_graph_metric(monkeypatch):
+    """The closure is sliced from the parent, not run through build_metric."""
+    m = build_metric(random_graph(random.Random(5), 9, extra_edges=4))
+
+    def refuse(g):
+        raise AssertionError("build_metric called")
+
+    monkeypatch.setattr(metric, "build_metric", refuse)
+    assert complete_graph_on(m, [8, 1, 4]).points == (1, 4, 8)
+
+
+@pytest.mark.parametrize("points", [[-1, 2], [0, 3], [2, 99], [], set()])
+def test_complete_graph_on_rejects_points_outside_the_space(path_metric, points):
+    """Negative ids would wrap around in numpy; ids past n and the empty
+    set have no closure either."""
+    with pytest.raises(ValueError, match=r"nonempty subset of range\(3\)"):
+        complete_graph_on(path_metric, points)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, np.inf, np.nan])
+def test_complete_graph_on_rejects_non_positive_or_infinite_weights(weight):
+    dist = np.array([[0.0, 2.0, weight], [2.0, 0.0, 1.0], [weight, 1.0, 0.0]])
+    m = MetricSpace(n=3, dist=dist, d_min=1.0, points=(0, 1, 2))
+    with pytest.raises(ValueError, match="finite and positive"):
+        complete_graph_on(m, [0, 1, 2])
+    assert complete_graph_on(m, [0, 1]).dist.tolist() == [[0.0, 2.0], [2.0, 0.0]]
