@@ -361,7 +361,7 @@ def complete_graph_on(m: MetricSpace, points) -> MetricSpace:
     if not pts or pts[0] < 0 or pts[-1] >= m.n:
         raise ValueError(f"closure points must be a nonempty subset of range({m.n})")
     dist = m.dist[np.ix_(pts, pts)]
-    # what WeightedGraph checked of the edges: finite, positive weights
+    # a closure is a graph metric too, so its edge weights must be finite and positive
     if not (np.isfinite(dist).all() and np.count_nonzero(dist > 0) == len(pts) ** 2 - len(pts)):
         raise ValueError("closure weights must be finite and positive off the diagonal")
     w = dist.tolist()
