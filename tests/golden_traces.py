@@ -5,9 +5,9 @@ JSON in both regimes and the ``opt --trace`` JSON, plus runs of a few
 instances at benchmark sizes: request-regime runs of seeded instances
 (and of three past those sizes: two whose closures reach 155 and 47
 points, one with unit edge weights), default-regime runs of seeded delay
-and deadline instances and an ``investment_star`` (two of the deadline
-inputs have a service whose Steiner growth stops before the last
-eligible request), and ``opt`` traces of seeded instances at the oracle
+and deadline instances, an ``investment_star`` and a tenth-weight star
+whose moat growth meets near-ties (two of the deadline inputs have a
+service whose Steiner growth stops before the last eligible request), and ``opt`` traces of seeded instances at the oracle
 sizes of the ``verify-oracle`` workload and of two near-tie delay
 families (``FAMILY``).  Those inputs are stored under
 ``tests/golden/instances/`` so the gate does not depend on the
@@ -74,6 +74,9 @@ SEEDED_RUN = [
 ]
 STAR_LEAVES = 120
 
+# leaves of the tenth-weight star, run in the default regime
+TENTH_STAR_LEAVES = 100
+
 # (mode, n_points, n_requests, seed): request-regime inputs past the
 # benchmark sizes, whose closures reach 155 points (deadline) and 47 (delay)
 SEEDED_LARGE_CLOSURE = [
@@ -123,6 +126,23 @@ def tenth_weight_instance(seed: int) -> Instance:
         requests.append(DelayRequest(q.id, q.point, release, delay))
     return Instance(WeightedGraph(inst.graph.node_count, edges), inst.server_start,
                     "delay", tuple(requests))
+
+
+def tenth_weight_star(n_leaves: int) -> Instance:
+    """A delay-mode star whose moat growth meets values an ulp apart.
+
+    Every leaf weighs 0.3.  A trigger on leaf 1 reaches its level's
+    threshold at time 1, when ``n_leaves`` requests are released on the
+    other leaves.  Their delay reaches ``0.1 * 3``, one ulp above 0.3, at
+    time 2, a probe of the forwarding search.  There every edge goes
+    tight within ``1e-15`` of the time its leaf runs out of surplus, so
+    ``pcst_approx``'s tie rule decides between unequal values."""
+    edges = tuple((0, 1 + i, 0.3) for i in range(n_leaves + 1))
+    requests = [DelayRequest(0, 1, 0.0, DelayFunction(((0.0, 0.0),), 0.5))]
+    for i in range(1, n_leaves + 1):
+        delay = DelayFunction(((1.0, 0.0), (2.0, 0.1 * 3)), 0.1)
+        requests.append(DelayRequest(i, 1 + i, 1.0, delay))
+    return Instance(WeightedGraph(n_leaves + 2, edges), 0, "delay", tuple(requests))
 
 
 def close_release_instance(seed: int) -> Instance:
@@ -189,6 +209,7 @@ def stored_instances() -> dict[str, Instance]:
             seed=seed, n_points=n, n_requests=m, mode=mode, weight_range=(1.0, 1.0)
         )
     out[f"investment_star-{STAR_LEAVES}"] = investment_star(STAR_LEAVES)
+    out[f"tenth_weight_star-{TENTH_STAR_LEAVES}"] = tenth_weight_star(TENTH_STAR_LEAVES)
     for family, seed in SEEDED_FAMILY:
         out[f"delay-{family}-s{seed}"] = FAMILY[family](seed)
     return out
@@ -209,6 +230,7 @@ def cases() -> list[tuple[str, Path]]:
         for spec in SEEDED_RUN + SEEDED_EARLY_STOP
     ]
     out += [("run", INSTANCES / f"investment_star-{STAR_LEAVES}.json")]
+    out += [("run", INSTANCES / f"tenth_weight_star-{TENTH_STAR_LEAVES}.json")]
     out += [("opt", INSTANCES / f"{seeded_name(*spec)}.json") for spec in SEEDED_OPT]
     out += [("opt", INSTANCES / f"delay-{family}-s{seed}.json") for family, seed in SEEDED_FAMILY]
     out += [(CHARGE_REPORT, p) for p in sorted(CORPUS.glob("*.json"))]
