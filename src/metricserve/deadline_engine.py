@@ -163,8 +163,8 @@ class DeadlineEngine(EngineCore):
         sid = self.serve(chosen, t)
         for rid in eligible:
             if rid not in chosen:
-                self.levels[rid] = service_level + 1
-        self.position = trigger.point if primary else a
+                self.upgrade(rid, service_level + 1)
+        self.move_to(trigger.point if primary else a)
 
         record = ServiceRecord(
             service_id=sid,

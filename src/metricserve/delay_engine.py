@@ -55,7 +55,21 @@ from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py check
 from .steiner import PcstSolution, certificate_margin, pcst_approx, steiner_approx
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
-__all__ = ["CriticalEvent", "DelayServiceRecord", "DelayTrace", "DelayEngine", "run_delay"]
+__all__ = [
+    "CriticalEvent",
+    "DelayServiceRecord",
+    "DelayTrace",
+    "DelayEngine",
+    "NumericRangeError",
+    "run_delay",
+]
+
+
+class NumericRangeError(ArithmeticError):
+    """The instance's numbers lie outside the range the engine resolves:
+    a threshold crossing found in linear time does not hold once the
+    residuals are summed again, because its values dwarf the ``EPS_VAL``
+    tolerance or overflow."""
 
 
 @dataclass(frozen=True)
@@ -192,7 +206,10 @@ class DelayEngine(EngineCore):
             t_star = self._segment_crossing(s0, s1)
             if t_star is not None:
                 level = self.max_critical_level(t_star)
-                assert level is not None
+                if level is None:
+                    raise NumericRangeError(
+                        f"the threshold crossing at t={t_star!r} is not critical once summed"
+                    )
                 return CriticalEvent(time=t_star, level=level)
             s0 = s1
             if s0 >= until:
@@ -306,7 +323,7 @@ class DelayEngine(EngineCore):
                 self.counters[qid] += inc
                 counter_increments[qid] = counter_increments.get(qid, 0.0) + inc
                 invest_increment += inc
-            self.levels[qid] = service_level + 1
+            self.upgrade(qid, service_level + 1)
 
         tour = tree_dfs_nodes([(pts[u], pts[v]) for u, v in solution.tree_edges], a)
         hops = list(tour)
@@ -317,7 +334,7 @@ class DelayEngine(EngineCore):
 
         sid = self.serve(served, t)
         if relocation is not None:
-            self.position = relocation
+            self.move_to(relocation)
 
         record = DelayServiceRecord(
             service_id=sid,

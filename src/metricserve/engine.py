@@ -3,6 +3,9 @@
 Both follow one level discipline: a request is revealed at level bottom,
 its adjusted level is ``max(level, ceil(log2 d(server, point)))``, and a
 service marks the requests it serves while the engine upgrades the rest.
+Adjusted levels are memoised.  One changes only when the server moves or
+the request's level is upgraded, so both engines make those two writes
+through ``move_to`` and ``upgrade``, the only places the memo is cleared.
 
 Under the request regime services build their trees (and the delay engine
 picks relocation centers) in the metric closure over released points:
@@ -21,6 +24,8 @@ from .metric import MetricSpace, complete_graph_on
 
 __all__ = ["EngineCore", "requests_doc"]
 
+_UNSET = object()  # not a Level: BOTTOM is None
+
 
 class EngineCore:
     """Online state: revealed pending requests, their levels, the server."""
@@ -34,6 +39,7 @@ class EngineCore:
         self.level_floor = min_level(m)
         self.requests: dict[int, DeadlineRequest | DelayRequest] = {}
         self.levels: dict[int, Level] = {}
+        self._alevels: dict[int, Level] = {}  # memo of adjusted_level_of
         self.pending: set[int] = set()
         self.records: list = []
         self.service_time: dict[int, float] = {}
@@ -48,8 +54,25 @@ class EngineCore:
             self._space = None
 
     def adjusted_level_of(self, qid: int) -> Level:
-        q = self.requests[qid]
-        return adjusted_level(self.levels[qid], self.m.distance(self.position, q.point))
+        """``max(level, ceil(log2 d(server, point)))``, memoised until
+        ``move_to`` or ``upgrade`` clears it."""
+        alevel = self._alevels.get(qid, _UNSET)
+        if alevel is _UNSET:  # a miss raises no exception: most are after a move
+            q = self.requests[qid]
+            alevel = adjusted_level(self.levels[qid], self.m.distance(self.position, q.point))
+            self._alevels[qid] = alevel
+        return alevel
+
+    def move_to(self, point: int) -> None:
+        """Move the server; every adjusted level may change."""
+        if point != self.position:
+            self.position = point
+            self._alevels.clear()
+
+    def upgrade(self, qid: int, level: Level) -> None:
+        """Raise the level of ``qid``; only its adjusted level may change."""
+        self.levels[qid] = level
+        self._alevels.pop(qid, None)
 
     def space(self) -> MetricSpace:
         """The metric services build trees in: the graph metric, or under the

@@ -36,6 +36,37 @@ well: ``MetricSpace.path_edges`` memoises each shortest-path expansion,
 a union of paths with one edge fewer than nodes is already the tree the
 second Kruskal would return, and leaf pruning is one queue pass that
 keeps list order, so costs are summed in the same order as before.
+
+Moat events that take no time
+-----------------------------
+Each event of ``pcst_approx`` is chosen by a scan over the candidates in
+scan order: edges in ``(u, v)`` order, then live components by root id.
+The scan keeps the running best ``b`` and replaces it by a value ``x``
+only when ``x < b - 1e-15``, with the difference rounded to a float.  On
+inputs with many equal distances, such as a star of equal leaves, most
+events take no time: their delta is 0.0.  Adding 0.0 to a depth or
+subtracting it from a surplus gives an equal value, so the loop skips
+that pass, and every candidate then keeps the value the scan gave it
+except the edges and the components that the event itself merges or
+deactivates.  So after the first such event the loop keeps the
+candidates in a list sorted by (value, scan position) and re-keys only
+those, until an event takes time.
+
+Let ``(m, p)`` be the front of that list and ``v`` the smallest value
+above ``m``.  When ``m < v - 1e-15`` (the scan's own test, in floats),
+the scan picks ``p``.  Every candidate the scan meets before ``p`` has a
+value other than ``m`` (one equal to it, met earlier, would sort first),
+so at least ``v``, and the running best ``b`` on reaching ``p`` is one of
+those values or infinite.  Rounding is monotone, so ``b - 1e-15 >= v -
+1e-15 > m`` and ``p`` replaces ``b``.  After ``p`` every value ``x`` is at
+least ``m``, which is at least ``m - 1e-15``, so none replaces it.  When
+the test fails, ``v`` is in the tie window, and the loop replays the
+scan.  The window is narrow: with ``g <= math.ulp(m)`` the gap from ``m``
+to the next float, ``v - 1e-15`` rounds to at most ``m`` only if ``v <=
+m + 1e-15 + g / 2``, and ``v >= m + g``, so the window lies inside
+``(m, m + 1e-15 + math.ulp(m) / 2]`` and is empty once ``g`` exceeds
+``2e-15`` (from about ``m = 16`` on).  Any fixed width of at least
+``2e-15`` would hold every rival; testing ``v`` itself needs none.
 """
 
 from __future__ import annotations
@@ -393,6 +424,14 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
     surplus by ascending root id.  A later candidate replaces the current
     one only when it is smaller by more than ``1e-15``; a merge keeps the
     root id of the edge's ``v`` side.
+
+    An event whose delta is 0.0 changes no depth or surplus, so it skips
+    that pass.  From the first such event until one takes time, the
+    candidates sit in a list sorted by (value, scan position), and only
+    those the event merged or deactivated are re-keyed.  The front is the
+    scan's event unless the next larger value fails the scan's own
+    ``1e-15`` test against it; then the scan is replayed.  The module
+    docstring proves both steps exact and bounds the tie window.
     """
     terminals = set(terminals)
     for t in terminals:
@@ -413,35 +452,86 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
     live = sorted(t for t in terminals if active[t])  # active roots, ascending
 
     depth = [0.0] * m.n  # accumulated moat depth per node
-    # edges between distinct components, in sorted order
+    # edges between distinct components, in sorted order; a merge marks the
+    # list stale, and the next scan filters it
     edges = [(u, v, m.edge_weight(u, v)) for u, v in sorted(m.edges)]
+    stale = False
     forest: list[tuple[int, int]] = []
+    # While the depths stand still: every candidate, (value, 0, u, v) for
+    # an edge and (value, 1, c) for a live component, in sorted order;
+    # ``keyed`` maps each candidate's key to its entry, ``incident`` each
+    # node to its edges (built with the first queue).
+    queue: list[tuple] | None = None
+    keyed: dict[tuple, tuple] = {}
+    incident: dict[int, list[tuple[int, int, float]]] = {}
+
+    def edge_value(u: int, v: int, w: float) -> float:
+        """The scan's value for the edge; inf when it is no candidate."""
+        cu, cv = comp[u], comp[v]
+        rate = active[cu] + active[cv] if cu != cv else 0
+        if rate == 0:
+            return math.inf
+        slack = w - depth[u] - depth[v]  # max(0.0, slack) without the call
+        return (slack if slack > 0.0 else 0.0) / rate
+
+    def requeue(key: tuple, value: float) -> None:
+        """Give a candidate its current value; inf takes it out."""
+        old = keyed.pop(key, None)
+        if old is not None:
+            if old[0] == value:
+                keyed[key] = old
+                return
+            del queue[bisect.bisect_left(queue, old)]
+        if value < math.inf:
+            keyed[key] = entry = (value, *key)
+            bisect.insort(queue, entry)
+
+    def requeue_edges(nodes) -> None:
+        for x in nodes:
+            for u, v, w in incident.get(x, ()):
+                requeue((0, u, v), edge_value(u, v, w))
 
     while live:
-        best_delta = math.inf
         best_event: tuple | None = None
-        for u, v, w in edges:
-            rate = active[comp[u]] + active[comp[v]]
-            if rate == 0:
-                continue
-            slack = w - depth[u] - depth[v]  # max(0.0, slack) without the call
-            delta = (slack if slack > 0.0 else 0.0) / rate
-            if delta < best_delta - 1e-15:
-                best_delta = delta
-                best_event = ("edge", u, v)
-        for c in live:
-            if surplus[c] < best_delta - 1e-15:
-                best_delta = surplus[c]
-                best_event = ("deactivate", c)
+        if queue is not None:
+            if not queue:
+                break
+            best_delta = queue[0][0]
+            # the smallest value above the minimum decides, by the scan's test
+            rival = bisect.bisect_right(queue, (best_delta, 2))
+            if rival == len(queue) or best_delta < queue[rival][0] - 1e-15:
+                best_event = queue[0][1:]
         if best_event is None:
-            break
-        for c in live:
-            surplus[c] -= best_delta
-            for v in members[c]:
-                depth[v] += best_delta
-        if best_event[0] == "edge":
+            if stale:
+                edges = [e for e in edges if comp[e[0]] != comp[e[1]]]
+                stale = False
+            best_delta = math.inf
+            for u, v, w in edges:
+                rate = active[comp[u]] + active[comp[v]]
+                if rate == 0:
+                    continue
+                slack = w - depth[u] - depth[v]
+                delta = (slack if slack > 0.0 else 0.0) / rate
+                if delta < best_delta - 1e-15:
+                    best_delta = delta
+                    best_event = (0, u, v)
+            for c in live:
+                if surplus[c] < best_delta - 1e-15:
+                    best_delta = surplus[c]
+                    best_event = (1, c)
+            if best_event is None:
+                break
+        if best_delta != 0.0:
+            queue = None
+            for c in live:
+                surplus[c] -= best_delta
+                for v in members[c]:
+                    depth[v] += best_delta
+        if best_event[0] == 0:
             _, u, v = best_event
             cu, cv = comp[u], comp[v]
+            was_u, was_v = active[cu], active[cv]
+            nu, nv = len(members[cu]), len(members[cv])
             forest.append((min(u, v), max(u, v)))
             for x in members[cu]:
                 comp[x] = cv
@@ -451,12 +541,34 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
             live = [c for c in live if c != cu and c != cv]
             if active[cv]:
                 bisect.insort(live, cv)
-            edges = [e for e in edges if comp[e[0]] != comp[e[1]]]
+            stale = True
+            if queue is not None:
+                requeue((1, cu), math.inf)
+                requeue((1, cv), surplus[cv] if active[cv] else math.inf)
+                # the smaller side holds an end of each edge now inside cv;
+                # a side whose activity changed re-rates all of its edges
+                if was_v != active[cv] or nv < nu:
+                    requeue_edges(members[cv][:nv])
+                if was_u != active[cv] or nu <= nv:
+                    requeue_edges(members[cu])
         else:
             c = best_event[1]
             surplus[c] = 0.0
             active[c] = False
             live.remove(c)
+            if queue is not None:
+                requeue((1, c), math.inf)
+                requeue_edges(members[c])
+        if queue is None and best_delta == 0.0:
+            # edge_value leaves out the edges a merge put inside a component
+            if not incident:
+                for e in edges:
+                    incident.setdefault(e[0], []).append(e)
+                    incident.setdefault(e[1], []).append(e)
+            queue = [(edge_value(u, v, w), 0, u, v) for u, v, w in edges]
+            queue += [(surplus[c], 1, c) for c in live]
+            queue = sorted(e for e in queue if e[0] < math.inf)
+            keyed = {e[1:]: e for e in queue}
 
     # strong pruning over the forest tree containing the root: keep a child
     # subtree only when the penalty mass it rescues strictly exceeds the

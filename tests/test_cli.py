@@ -3,11 +3,18 @@
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
 from metricserve import metric
 from metricserve.cli import main
+from metricserve.instance import (
+    DelayFunction,
+    generate,
+    investment_star,
+    serialize_instance,
+)
 
 
 def _run(capsys, argv):
@@ -322,3 +329,43 @@ def test_nan_horizon_exit_2(capsys, small_instance, command):
     pass as an empty run or a verified one."""
     _input_error(capsys, [command, "--instance", str(small_instance), "--horizon", "nan"],
                  "--horizon")
+
+
+def _huge_slopes():
+    inst = generate(seed=3, n_points=5, n_requests=4, mode="delay")
+    return replace(inst, requests=tuple(
+        replace(q, delay=replace(q.delay, final_slope=1e308)) for q in inst.requests
+    ))
+
+
+def _alternating_releases():
+    """Releases and first breakpoints at -1e300, +1e300, -1e300, ..."""
+    inst = generate(seed=3, n_points=5, n_requests=4, mode="delay")
+    requests = []
+    for i, q in enumerate(inst.requests):
+        r = 1e300 if i % 2 else -1e300
+        breakpoints = ((r, q.delay.breakpoints[0][1]), *q.delay.breakpoints[1:])
+        requests.append(replace(q, release=r,
+                                delay=DelayFunction(breakpoints, q.delay.final_slope)))
+    return replace(inst, requests=tuple(requests))
+
+
+def _shifted_star():
+    """``investment_star(20)`` with every time shifted by +1e12."""
+    inst = investment_star(20)
+    return replace(inst, requests=tuple(
+        replace(q, release=q.release + 1e12, delay=DelayFunction(
+            tuple((t + 1e12, y) for t, y in q.delay.breakpoints), q.delay.final_slope))
+        for q in inst.requests
+    ))
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("build", [_huge_slopes, _alternating_releases, _shifted_star])
+def test_out_of_range_delay_instance_exit_2(tmp_path, capsys, command, build):
+    """Numbers the engine's absolute tolerances cannot resolve are an input
+    error, not a traceback."""
+    path = tmp_path / "huge.json"
+    path.write_text(serialize_instance(build()))
+    _input_error(capsys, [command, "--instance", str(path)],
+                 "outside the numeric range the engine resolves")

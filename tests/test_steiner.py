@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from metricserve import config
-from metricserve.metric import build_metric, complete_graph_on
+from metricserve.metric import WeightedGraph, build_metric, complete_graph_on
 from metricserve.steiner import (
     PcstSolution,
     TerminalCapError,
@@ -270,8 +270,6 @@ def test_pcst_approx_deep_tree_under_low_recursion_limit():
     import inspect
     import sys
 
-    from metricserve.metric import WeightedGraph
-
     n = 301
     path = tuple((i, i + 1, 1.0) for i in range(n - 1))
     m = build_metric(WeightedGraph(node_count=n, edges=path))
@@ -407,7 +405,14 @@ def test_pcst_approx_matches_reference_moat_growth():
     """Exactly the reference's solution on 320 cases: sparse graphs with
     integer weights (exact ties) or tenths (ties off by an ulp or two),
     random-weight graphs and metric closures, under integer, equal, zero
-    and random penalties, with and without the root among the terminals."""
+    and random penalties, with and without the root among the terminals.
+    Then on 48 stars of 40-130 equal leaves, rooted at the hub or a leaf,
+    where most moat events take no time: equal penalties below the leaf
+    weight (a deactivation cascade), above it (a merge cascade), both in
+    turn, and tenth weights whose penalties are an ulp or two off the
+    weight, so that the 1e-15 tie rule decides between unequal values.
+    Then on 40 denser graphs whose terminals each take one of two
+    penalties."""
     rng = random.Random(53)
     for i in range(320):
         n = rng.randint(2, 30)
@@ -447,6 +452,43 @@ def test_pcst_approx_matches_reference_moat_growth():
         assert pcst_approx(m, terminals, pen, root) == _reference_pcst_approx(
             m, terminals, pen, root
         ), i
+    # (weight, penalty) pairs an ulp or two apart
+    tenths = [(0.3, 0.1 * 3), (0.3, 0.7 - 0.4), (0.6, 0.1 * 6), (0.7, 0.1 * 7),
+              (0.2, 0.3 - 0.1), (0.6, 0.9 - 0.3)]
+    for i in range(48):
+        n = rng.randint(40, 130)
+        kind = i % 4
+        if kind == 3:
+            w, p = tenths[rng.randrange(len(tenths))]
+            assert p != w and abs(p - w) < 1e-15
+            pen = {t: p for t in range(1, n + 1)}
+        else:
+            w = float(rng.randint(1, 4))
+            below, above = w / 2, w + rng.randint(1, 3)
+            pen = {t: [below, above, (below, above)[t % 2]][kind] for t in range(1, n + 1)}
+        m = build_metric(WeightedGraph(n + 1, tuple((0, t, w) for t in range(1, n + 1))))
+        root = 0 if (i // 4) % 2 else rng.randint(1, n)
+        terminals = set(pen) | {root}
+        assert pcst_approx(m, terminals, pen, root) == _reference_pcst_approx(
+            m, terminals, pen, root
+        ), ("star", i)
+    # Denser graphs where most terminals share one of two penalties.  In
+    # cases 15 and 32 of this seed a component deactivates while the moat
+    # depths stand still, and the moat growth must re-rate its edges.
+    rng = random.Random(2)
+    for i in range(40):
+        n = rng.randint(8, 40)
+        unit = rng.choice([1.0, 0.1])
+        g = random_graph(rng, n, extra_edges=rng.randrange(2 * n), weight_range=(1, 6),
+                         integer_weights=True)
+        m = build_metric(replace(g, edges=tuple((u, v, w * unit) for u, v, w in g.edges)))
+        root = rng.randrange(n)
+        terminals = set(rng.sample(range(n), rng.randint(n // 2, n)))
+        two = [rng.randint(1, 12) * unit / rng.choice([1, 2]) for _ in range(2)]
+        pen = {t: rng.choice(two) for t in terminals}
+        assert pcst_approx(m, terminals, pen, root) == _reference_pcst_approx(
+            m, terminals, pen, root
+        ), ("two penalties", i)
 
 
 def _reference_path(m, u, v):
