@@ -17,8 +17,8 @@ A service at level L (= critical level + 3):
    by raising counters to the current delay;
 4. forwards time: finds the first moment the prize-collecting tree over
    the eligible set, with penalties equal to the delay growth past the
-   counters, costs at least ``6 * 2**L``, unless one Steiner tree over
-   the eligible points and the server proves that no moment does;
+   counters, costs at least ``6 * 2**L``, unless the tree solved at the
+   probe horizon proves that no moment does;
    serves the tree's side of that solution by a depth-first tour, and
    pays the penalty side by raising counters to the forwarded delay;
 5. upgrades unserved eligible requests to level L + 1 and finally moves
@@ -31,11 +31,11 @@ eligible request, so nothing is left to invest in.
 
 Between releases, breakpoints, and counter crossings every total
 residual is linear in time, so crossings are solved exactly.  The
-forwarding-time search first compares twice the cost of a Steiner tree
-over the root and the eligible points with the budget: below it (less
-a rounding margin) the forwarding time is certified infinite and only
-the probe horizon is solved.  Otherwise it scans breakpoints and bisects
-inside the first crossing segment.
+forwarding-time search first solves the probe horizon.  When that
+solution serves every eligible point and twice its tree cost is below
+the budget (less a rounding margin), the forwarding time is certified
+infinite and nothing else is solved.  Otherwise it scans breakpoints and
+bisects inside the first crossing segment.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import compress
+
+import numpy as np
 
 from . import config
 from .engine import EngineCore, requests_doc
@@ -52,7 +55,7 @@ from .levels import BOTTOM, clamp_bottom, level_le
 from .metric import MetricSpace
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
-from .steiner import PcstSolution, certificate_margin, pcst_approx, steiner_approx
+from .steiner import PcstSolution, certificate_margin, pcst_approx
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
 __all__ = [
@@ -271,6 +274,7 @@ class DelayEngine(EngineCore):
         )
 
         space = self.space()
+        pts = space.points
         relocation = None
         if primary:
             ball_r = 2.0 ** (service_level - 8)
@@ -281,19 +285,17 @@ class DelayEngine(EngineCore):
             # clamped levels the floor rule would otherwise admit zero-length
             # relocations.
             min_dist = 2.0 ** (service_level - 5) - 2.0 ** (service_level - 8)
+            trigger_points = [self.requests[qid].point for qid in triggers]
+            shares = [trigger_residuals[qid] for qid in triggers]
+            far = self.m.dist[a, pts] >= min_dist - config.EPS_GEO
+            near = self.m.dist[np.ix_(pts, trigger_points)] <= ball_r + config.EPS_GEO
             best_mass = need
-            for v in space.points:
-                if self.m.distance(a, v) < min_dist - config.EPS_GEO:
-                    continue
-                mass = math.fsum(
-                    trigger_residuals[qid]
-                    for qid in triggers
-                    if self.m.distance(v, self.requests[qid].point)
-                    <= ball_r + config.EPS_GEO
-                )
+            # a ball holding no trigger has mass 0.0, below need
+            for i in np.flatnonzero(far & near.any(axis=1)):
+                mass = math.fsum(compress(shares, near[i]))
                 if mass > best_mass + config.EPS_VAL:
                     best_mass = mass
-                    relocation = v
+                    relocation = pts[i]
 
         eligible = sorted(
             qid for qid in self.pending if level_le(self.adjusted_level_of(qid), service_level)
@@ -309,7 +311,6 @@ class DelayEngine(EngineCore):
                 reset_increment += inc
 
         tau, solution = self._forwarding_time(space, eligible, a, budget, t)
-        pts = space.points
         served_points = {pts[i] for i in solution.served}
         served = [qid for qid in eligible if self.requests[qid].point in served_points]
 
@@ -371,18 +372,18 @@ class DelayEngine(EngineCore):
         ``tau`` is ``inf`` when no crossing exists, in which case the
         solution serves all eligible points.
 
-        Certificate.  Let ``span`` be the cost of ``steiner_approx`` over
-        the root and the eligible points.  That tree serves every terminal,
-        so it is a zero-penalty solution at every t' and OPT(t') <= span.
-        The rooted moat growth of ``pcst_approx`` raises a dual y that is
-        feasible for the prize-collecting LP, so sum(y) <= OPT(t'), and the
-        Goemans-Williamson argument (1995) gives a pruned tree of the root's
-        forest component costing at most 2 * sum(y) plus the penalty the
-        duals leave unpaid.  Strong pruning (Johnson-Minkoff-Phillips 2000)
-        picks the best rooted subtree of that component, so it is no worse
-        up to its keep rule.  The margin ``certificate_margin(len(by_node),
-        space.n, budget)`` covers the three ways the code departs from the
-        exact argument:
+        Certificate.  The search solves the probe horizon ``t_big`` first,
+        into ``final``.  When ``final`` serves every eligible point, its tree
+        connects them all to the root, so it is a zero-penalty solution at
+        every t' and OPT(t') <= ``final.tree_cost``.  The rooted moat growth
+        of ``pcst_approx`` raises a dual y that is feasible for the
+        prize-collecting LP, so sum(y) <= OPT(t'), and the Goemans-Williamson
+        argument (1995) gives a pruned tree of the root's forest component
+        costing at most 2 * sum(y) plus the penalty the duals leave unpaid.
+        Strong pruning (Johnson-Minkoff-Phillips 2000) picks the best rooted
+        subtree of that component, so it is no worse up to its keep rule.
+        The margin ``certificate_margin(len(by_node), space.n, budget)``
+        covers the three ways the code departs from the exact argument:
 
         - a component is active only while its surplus exceeds ``EPS_VAL``,
           so each maximal inactive set not containing the root may leave up
@@ -399,12 +400,13 @@ class DelayEngine(EngineCore):
           of it; the spare ``2 * EPS_VAL`` absorbs absolute rounding at
           small scales.
 
-        So every probe costs at most ``2 * span + margin``, and when that is
-        below ``budget - EPS_VAL`` no probe can reach the budget: the scan
-        below would solve every probe, find no crossing and end at
-        ``evaluate(t_big)``.  The certified search solves only that last
-        probe, so its result is the same.  A larger margin only certifies
-        fewer searches, which then take the scan.
+        So every probe costs at most ``2 * final.tree_cost + margin``, and
+        when that is below ``budget - EPS_VAL`` no probe can reach the
+        budget: the scan below would solve every probe, find no crossing and
+        end at ``evaluate(t_big)``.  The certified search returns that
+        solution at once, so its result is the same.  A larger margin only
+        certifies fewer searches, which then take the scan; ``evaluate`` is
+        cached, so the scan does not solve ``t_big`` again.
         """
         by_node: dict[int, list[int]] = {}
         for qid in eligible:
@@ -425,7 +427,6 @@ class DelayEngine(EngineCore):
         if not eligible:
             return t, evaluate(t)
 
-        span = steiner_approx(space, set(by_node) | {root}).cost
         w_total = space.total_weight()
         t_big = max(
             self.requests[qid].delay.first_time_at_least(
@@ -434,9 +435,11 @@ class DelayEngine(EngineCore):
             for qid in eligible
         )
         t_big = max(t_big, t)
+        final = evaluate(t_big)
+        serves_all = set(by_node) <= final.served
         probes: list[float] = []  # none when the certificate holds
         margin = certificate_margin(len(by_node), space.n, budget)
-        if 2.0 * span >= budget - config.EPS_VAL - margin:
+        if not serves_all or 2.0 * final.tree_cost >= budget - config.EPS_VAL - margin:
             cuts = {
                 bp_t
                 for qid in eligible
@@ -455,10 +458,7 @@ class DelayEngine(EngineCore):
                 break
             lo = hi
         else:
-            final = evaluate(t_big)
-            assert set(by_node) <= final.served, (
-                "past the probe horizon an unserved terminal forces a crossing"
-            )
+            assert serves_all, "past the probe horizon an unserved terminal forces a crossing"
             return math.inf, final
         while hi - lo > config.EPS_TIME:
             mid = 0.5 * (lo + hi)

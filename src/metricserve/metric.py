@@ -24,6 +24,7 @@ the construction: each edge loses at most ``2 r / rho`` to holes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,8 +75,8 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise ValueError(f"edge ({u},{v}) out of node range")
-            if w <= 0:
-                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
+            if not 0 < w < math.inf:  # also false for NaN
+                raise ValueError(f"edge ({u},{v}) has weight {w}, not finite and positive")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"duplicate edge between {u} and {v}")
@@ -135,6 +136,11 @@ class MetricSpace:
     def index(self) -> dict[int, int]:
         """Point id -> node id, the inverse of ``points``."""
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def sorted_edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as ``(u, v, weight)`` with ``u < v``, sorted by ``(u, v)``."""
+        return tuple((u, v, w) for (u, v), w in sorted(self._edge_weight.items()))
 
     def distance(self, u: int, v: int) -> float:
         return float(self.dist[u, v])

@@ -454,7 +454,7 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
     depth = [0.0] * m.n  # accumulated moat depth per node
     # edges between distinct components, in sorted order; a merge marks the
     # list stale, and the next scan filters it
-    edges = [(u, v, m.edge_weight(u, v)) for u, v in sorted(m.edges)]
+    edges = m.sorted_edges
     stale = False
     forest: list[tuple[int, int]] = []
     # While the depths stand still: every candidate, (value, 0, u, v) for
@@ -600,15 +600,15 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
                 if frame[3] > w + eps:
                     kept.add((min(up[0], u), max(up[0], u)))
                     up[3] += frame[3] - w
+    # the root's component of the kept edges, a subforest of the forest
     tree_nodes = {root}
-    changed = True
-    while changed:
-        changed = False
-        for u, v in kept:
-            in_u, in_v = u in tree_nodes, v in tree_nodes
-            if in_u != in_v:
-                tree_nodes.update((u, v))
-                changed = True
+    todo = [root]
+    while todo:
+        u = todo.pop()
+        for v in adj.get(u, ()):
+            if v not in tree_nodes and (min(u, v), max(u, v)) in kept:
+                tree_nodes.add(v)
+                todo.append(v)
     tree = [e for e in kept if e[0] in tree_nodes and e[1] in tree_nodes]
     served = frozenset(t for t in terminals if t in tree_nodes or t == root)
     tree_cost = _edge_cost(m, tree)

@@ -207,6 +207,39 @@ def test_non_primary_trigger_blocks_relocation_search():
     assert record.relocation_target is None
 
 
+def test_relocation_matches_scalar_search():
+    """The relocation search tests distances as numpy comparisons; on every
+    primary service of the seeded default-regime runs it picks the center
+    that the scalar loop kept here as the reference picks."""
+    from metricserve import config
+
+    relocations = 0
+    for inst, request_regime in _seeded_delay_runs():
+        if request_regime:
+            continue
+        m = inst.metric
+        point = {q.id: q.point for q in inst.requests}
+        for s in run_delay(inst).services:
+            if not s.primary:
+                continue
+            a, ball_r, best_mass = s.start_position, 2.0 ** (s.level - 8), 2.0 ** (s.level - 4)
+            min_dist = 2.0 ** (s.level - 5) - 2.0 ** (s.level - 8)
+            want = None
+            for v in range(m.n):
+                if m.distance(a, v) < min_dist - config.EPS_GEO:
+                    continue
+                mass = math.fsum(
+                    s.trigger_residuals[qid]
+                    for qid in s.trigger_ids
+                    if m.distance(v, point[qid]) <= ball_r + config.EPS_GEO
+                )
+                if mass > best_mass + config.EPS_VAL:
+                    best_mass, want = mass, v
+            assert s.relocation_target == want
+            relocations += want is not None
+    assert relocations
+
+
 from audits import audit_delay_trace as _audit_delay_trace
 from audits import replay_no_supercritical as _replay_no_supercritical
 
@@ -352,20 +385,30 @@ def _seeded_delay_runs():
 
 
 def test_traces_unchanged_with_forwarding_certificate_off(monkeypatch):
-    """An infinite Steiner bound certifies no forwarding search, so every
-    search scans its probes.  Every delay golden still matches, and the
-    seeded runs give the same trace with the certificate on and off."""
+    """An infinite certificate margin certifies no forwarding search, so
+    every search scans its probes.  Every delay golden still matches, the
+    seeded runs give the same trace with the certificate on and off, and
+    the certificate saves prize-collecting solves."""
     import metricserve.delay_engine as engine_module
     from golden_traces import cases, golden_path, render
     from metricserve.instance import parse_instance
-    from metricserve.steiner import SteinerSolution
+    from metricserve.steiner import pcst_approx
 
+    solves = []
+
+    def solve(*args):
+        solves.append(None)
+        return pcst_approx(*args)
+
+    monkeypatch.setattr(engine_module, "pcst_approx", solve)
     runs = _seeded_delay_runs()
     with_certificate = [run_delay(inst, request_regime=rr).to_json() for inst, rr in runs]
-    def no_bound(space, terminals):
-        return SteinerSolution(frozenset(), math.inf)
-
-    monkeypatch.setattr(engine_module, "steiner_approx", no_bound)
+    solves_with_certificate = len(solves)
+    solves.clear()
+    monkeypatch.setattr(engine_module, "certificate_margin", lambda *args: math.inf)
+    for (inst, rr), want in zip(runs, with_certificate):
+        assert run_delay(inst, request_regime=rr).to_json() == want
+    assert solves_with_certificate < len(solves)
     goldens = [
         (c, p) for c, p in cases()
         if c.startswith("run") and parse_instance(p.read_text()).mode == "delay"
@@ -373,56 +416,61 @@ def test_traces_unchanged_with_forwarding_certificate_off(monkeypatch):
     assert goldens
     for command, path in goldens:
         assert render(command, path) == golden_path(command, path).read_text(), path.name
-    for (inst, rr), want in zip(runs, with_certificate):
-        assert run_delay(inst, request_regime=rr).to_json() == want
 
 
 def test_certified_search_solves_once(monkeypatch):
-    """A forwarding search whose Steiner bound certifies tau = inf solves one
-    prize-collecting problem, at the probe horizon.  On investment_star(120)
+    """Every forwarding search solves the probe horizon first.  It is
+    certified when that solution serves every eligible point and twice its
+    tree cost is below the budget less the margin; then tau = inf, and it
+    solves nothing else and builds no Steiner tree.  On investment_star(120)
     some search is not certified and bisects, so the scan stays covered."""
     import metricserve.delay_engine as engine_module
+    import metricserve.steiner as steiner_module
     from metricserve import config
-    from metricserve.steiner import certificate_margin
     from metricserve.instance import investment_star
-    from metricserve.steiner import pcst_approx, steiner_approx
+    from metricserve.steiner import certificate_margin, pcst_approx
 
+    assert "steiner_approx" not in vars(engine_module)
     searches = []
     real_search = DelayEngine._forwarding_time
     real_value = DelayFunction.value
 
     def search(self, space, eligible, root, budget, t):
-        rec = {"n": space.n, "budget": budget, "span": None, "terminals": None,
-               "solves": 0, "times": []}
+        rec = {"n": space.n, "budget": budget, "last_t": None, "probes": [], "solutions": []}
         searches.append(rec)
         rec["tau"], solution = real_search(self, space, eligible, root, budget, t)
         rec["done"] = True
         return rec["tau"], solution
 
-    def span(space, terminals):
-        sol = steiner_approx(space, terminals)
-        searches[-1]["span"] = sol.cost
-        return sol
-
     def solve(space, terminals, penalties, root):
-        searches[-1]["solves"] += 1
-        searches[-1]["terminals"] = len(terminals)
-        return pcst_approx(space, terminals, penalties, root)
+        rec = searches[-1]
+        rec["terminals"] = set(terminals)
+        rec["probes"].append(rec["last_t"])
+        rec["solutions"].append(pcst_approx(space, terminals, penalties, root))
+        return rec["solutions"][-1]
 
     def value(fn, t):
-        # inside a search only the probes evaluate delays
+        # inside a search only the probes evaluate delays, each just
+        # before its solve
         if searches and "done" not in searches[-1]:
-            searches[-1]["times"].append(t)
+            searches[-1]["last_t"] = t
         return real_value(fn, t)
 
+    def no_steiner_tree(*args, **kwargs):
+        raise AssertionError("a forwarding search builds no Steiner tree")
+
     monkeypatch.setattr(DelayEngine, "_forwarding_time", search)
-    monkeypatch.setattr(engine_module, "steiner_approx", span)
     monkeypatch.setattr(engine_module, "pcst_approx", solve)
     monkeypatch.setattr(DelayFunction, "value", value)
+    monkeypatch.setattr(steiner_module, "steiner_approx", no_steiner_tree)
 
     def certified(rec):
-        margin = certificate_margin(rec["terminals"], rec["n"], rec["budget"])
-        return 2.0 * rec["span"] < rec["budget"] - config.EPS_VAL - margin
+        horizon = rec["solutions"][0]
+        margin = certificate_margin(len(rec["terminals"]), rec["n"], rec["budget"])
+        return (
+            rec["terminals"] <= horizon.served
+            and 2.0 * horizon.tree_cost < rec["budget"] - config.EPS_VAL - margin
+        )
 
     star = investment_star(120)
     for inst in [star] + [
@@ -430,17 +478,20 @@ def test_certified_search_solves_once(monkeypatch):
     ]:
         searches.clear()
         run_delay(inst)
-        assert searches and all(rec["span"] is not None for rec in searches)
+        assert searches
+        for rec in searches:
+            # the horizon is the latest probe
+            assert rec["probes"][0] == max(rec["probes"])
         hits = [rec for rec in searches if certified(rec)]
         assert hits
         for rec in hits:
-            assert rec["solves"] == 1 and rec["tau"] == math.inf
+            assert len(rec["solutions"]) == 1 and rec["tau"] == math.inf
         if inst is star:
-            # the probe scan runs in increasing time, so a probe earlier
-            # than its predecessor is a bisection step
+            # after the horizon the probe scan runs in increasing time, so
+            # a probe earlier than its predecessor is a bisection step
             assert any(
                 not certified(rec)
                 and math.isfinite(rec["tau"])
-                and any(b < a for a, b in zip(rec["times"], rec["times"][1:]))
+                and any(b < a for a, b in zip(rec["probes"][1:], rec["probes"][2:]))
                 for rec in searches
             )

@@ -59,6 +59,14 @@ def test_graph_validation():
         WeightedGraph(node_count=2, edges=((0, 1, 1.0), (1, 0, 2.0)))
 
 
+@pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("-inf"), float("nan")])
+def test_graph_rejects_non_positive_or_non_finite_weights(weight):
+    """The edge is named: a NaN weight would otherwise fail inside the
+    relaxation, and an infinite one would read as a disconnected node."""
+    with pytest.raises(ValueError, match=r"edge \(1,2\) has weight .*, not finite and positive"):
+        WeightedGraph(node_count=3, edges=((0, 1, 1.0), (1, 2, weight)))
+
+
 def test_distances_match_floyd_oracle():
     """50 random graphs against a triple-loop relaxation, exact equality."""
     rng = random.Random(7)

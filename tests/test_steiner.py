@@ -242,6 +242,25 @@ def test_pcst_approx_within_twice_spanning_tree_plus_engine_margin():
         assert approx <= 2 * span + certificate_margin(len(terminals), m.n, 2 * span), i
 
 
+def test_pcst_approx_within_twice_horizon_tree_plus_engine_margin():
+    """pcst_approx <= 2 * the tree of the solve whose every penalty exceeds
+    the space's total weight, plus the margin, whenever that solve serves
+    every terminal, on the same 1000 seeded cases: the bound the delay
+    engine's forwarding-time certificate rests on."""
+    rng = random.Random(67)
+    checked = 0
+    for i in range(1000):
+        m, terminals, pen, root = _certificate_case(rng, i, 30)
+        horizon = pcst_approx(m, terminals, dict.fromkeys(terminals, infinite_penalty(m)), root)
+        if not terminals <= horizon.served:
+            continue
+        checked += 1
+        tree = horizon.tree_cost
+        approx = pcst_approx(m, terminals, pen, root).total_cost
+        assert approx <= 2 * tree + certificate_margin(len(terminals), m.n, 2 * tree), i
+    assert checked == 1000
+
+
 def test_pcst_exact_monotone_in_penalties():
     """Pointwise-larger penalties never decrease the exact total."""
     rng = random.Random(43)
