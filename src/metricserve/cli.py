@@ -3,7 +3,7 @@
 Every command prints a JSON summary on standard output.  Exit codes:
 0 success, 1 structural-check failure (verify), 2 usage or input error
 (including unreadable or malformed instance documents, disconnected
-graphs, delay instances outside the numeric range the engine resolves,
+graphs, instances outside the numeric range the engines resolve,
 output paths that cannot be written and a NaN ``--horizon``).
 An input error prints one ``error:`` line and writes no output file.
 """
@@ -23,9 +23,9 @@ from pathlib import Path
 from . import config
 from .analysis import charge_report, classify
 from .deadline_engine import run_deadline
-from .delay_engine import NumericRangeError, run_delay
+from .delay_engine import run_delay
 from .instance import Instance, InstanceFormatError, generate, parse_instance, serialize_instance
-from .metric import DisconnectedGraphError
+from .metric import DisconnectedGraphError, NumericRangeError
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .offline_oracle import OracleCapError, opt_deadline, opt_delay
 
@@ -93,12 +93,7 @@ def _run_trace(inst: Instance, request_regime: bool, horizon: float | None):
         raise _UsageError("--horizon must be a number, got nan")
     if inst.mode == "deadline":
         return run_deadline(inst, request_regime=request_regime)
-    try:
-        return run_delay(inst, request_regime=request_regime, horizon=horizon)
-    except NumericRangeError as exc:
-        raise _UsageError(
-            f"instance lies outside the numeric range the engine resolves: {exc}"
-        ) from exc
+    return run_delay(inst, request_regime=request_regime, horizon=horizon)
 
 
 def _opt_trace(inst: Instance):
@@ -301,6 +296,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (_UsageError, DisconnectedGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NumericRangeError as exc:
+        print(f"error: instance lies outside the numeric range the engine resolves: {exc}",
+              file=sys.stderr)
         return 2
 
 

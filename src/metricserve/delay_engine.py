@@ -52,7 +52,7 @@ from . import config
 from .engine import EngineCore, requests_doc
 from .instance import DelayRequest, Instance
 from .levels import BOTTOM, clamp_bottom, level_le
-from .metric import MetricSpace
+from .metric import MetricSpace, NumericRangeError
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
 from .steiner import PcstSolution, certificate_margin, pcst_approx
@@ -66,13 +66,6 @@ __all__ = [
     "NumericRangeError",
     "run_delay",
 ]
-
-
-class NumericRangeError(ArithmeticError):
-    """The instance's numbers lie outside the range the engine resolves:
-    a threshold crossing found in linear time does not hold once the
-    residuals are summed again, because its values dwarf the ``EPS_VAL``
-    tolerance or overflow."""
 
 
 @dataclass(frozen=True)

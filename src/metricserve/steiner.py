@@ -31,11 +31,16 @@ approximation of the batch result: Kruskal orders edges by the strict key
 ``(w, u, v)``, so the MST is unique, and by the cycle property every
 closure edge between old terminals that is not in the old MST is the
 largest key on a cycle of old edges, so it is not in the new MST either.
-The batch call is growth from nothing.  The rest of a step is cheap as
-well: ``MetricSpace.path_edges`` memoises each shortest-path expansion,
-a union of paths with one edge fewer than nodes is already the tree the
-second Kruskal would return, and leaf pruning is one queue pass that
-keeps list order, so costs are summed in the same order as before.
+A call with nothing to grow from runs Prim instead: O(k^2) compares over
+k terminals, and no edge list, sort or union-find.  Under the same strict
+key, each weight read from ``m.dist[max id, min id]`` as Kruskal over the
+whole closure reads it, Prim finds the same unique MST, and sorted by the
+key its edges are in Kruskal's acceptance order, which growth consumes.
+The rest of a step is cheap as well: ``MetricSpace.path_edges`` memoises
+each shortest-path expansion, a union of paths with one edge fewer than
+nodes is already the tree the second Kruskal would return, and leaf
+pruning is one queue pass that keeps list order, so costs are summed in
+the same order as before.
 
 Moat events that take no time
 -----------------------------
@@ -113,9 +118,6 @@ class SteinerSolution:
     closure_mst: tuple[WeightedEdge, ...] = field(default=(), compare=False, repr=False)
 
 
-_NOTHING = SteinerSolution(frozenset(), 0.0)
-
-
 @dataclass(frozen=True)
 class PcstSolution:
     tree_edges: EdgeSet
@@ -168,6 +170,25 @@ def _kruskal(nodes: set[int], candidates) -> list[WeightedEdge] | None:
     if len(out) != need:
         return None
     return out
+
+
+def _prim(m: MetricSpace, terminals: list[int]) -> list[WeightedEdge]:
+    """Closure MST over the sorted terminals by Prim under Kruskal's strict
+    key, in Kruskal's acceptance order (see the module docstring)."""
+    view = m.dist_view
+    root, *rest = terminals
+    # best[j]: the least key joining rest[j] to the tree
+    best = [(view[t, root], root, t) for t in rest]
+    mst = []
+    while best:
+        i = best.index(min(best))
+        mst.append(best.pop(i))
+        x = rest.pop(i)
+        for j, t in enumerate(rest):
+            key = (view[x, t], t, x) if t < x else (view[t, x], x, t)
+            if key < best[j]:
+                best[j] = key
+    return sorted(mst)
 
 
 def _prune_leaves(edges: list[WeightedEdge], keep: set[int]) -> list[WeightedEdge]:
@@ -244,31 +265,32 @@ def steiner_approx(
     deduplicated into a tree and leaf-pruned.
 
     ``grow_from`` is an earlier solution in the same metric.  When its
-    terminals are a subset of these, Kruskal only looks at its closure-MST
-    edges and the new terminals' closure edges; otherwise, and without
-    it, at the whole closure.  Both give the same tree (see the module
-    docstring).
+    terminals are a nonempty subset of these, Kruskal only looks at its
+    closure-MST edges and the new terminals' closure edges; otherwise,
+    and without it, Prim runs over the whole closure.  Both give the same
+    tree (see the module docstring).
     """
     terminals = frozenset(terminals)
     if not terminals:
         raise ValueError("terminal set must be nonempty")
-    if grow_from is None or not grow_from.terminals <= terminals:
-        grow_from = _NOTHING
-    elif grow_from.terminals == terminals:
+    old = grow_from.terminals if grow_from is not None else frozenset()
+    if old == terminals:
         return grow_from
     if len(terminals) == 1:
         return SteinerSolution(frozenset(), 0.0, terminals=terminals)
-    old = grow_from.terminals
-    known = sorted(old)
-    candidates = list(grow_from.closure_mst)
-    for t in sorted(terminals - old):
-        # closure edges from t to the terminals placed so far: one row slice
-        ws = m.dist[t, known].tolist()
-        i = bisect.bisect(known, t)
-        candidates += zip(ws[:i], known[:i], repeat(t))
-        candidates += zip(ws[i:], repeat(t), known[i:])
-        known.insert(i, t)
-    closure_mst = _kruskal(terminals, candidates)
+    if not old or not old <= terminals:
+        closure_mst = _prim(m, sorted(terminals))
+    else:
+        known = sorted(old)
+        candidates = list(grow_from.closure_mst)
+        for t in sorted(terminals - old):
+            # closure edges from t to the terminals placed so far: one row slice
+            ws = m.dist[t, known].tolist()
+            i = bisect.bisect(known, t)
+            candidates += zip(ws[:i], known[:i], repeat(t))
+            candidates += zip(ws[i:], repeat(t), known[i:])
+            known.insert(i, t)
+        closure_mst = _kruskal(terminals, candidates)
     union: set[WeightedEdge] = set()
     for _, u, v in closure_mst:
         union.update(m.path_edges(u, v))

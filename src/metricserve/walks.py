@@ -50,15 +50,15 @@ def tree_dfs_nodes(edges, start: int) -> list[int]:
 
 def expand_hops(m: MetricSpace, hops: list[int]) -> list[int]:
     """Expand a hop sequence into a full node walk along shortest paths."""
-    if not hops:
-        return []
-    walk = [hops[0]]
+    walk = list(hops[:1])
     for target in hops[1:]:
-        if target == walk[-1]:
-            continue
-        walk.extend(m.shortest_path_nodes(walk[-1], target)[1:])
+        cur = walk[-1]
+        if target != cur:
+            for _, a, b in m.path_edges(cur, target):
+                cur = b if a == cur else a
+                walk.append(cur)
     return walk
 
 
 def walk_cost(m: MetricSpace, walk: list[int]) -> float:
-    return sum(m.distance(u, v) for u, v in zip(walk, walk[1:]))
+    return sum(map(m.dist_view.__getitem__, zip(walk, walk[1:])))

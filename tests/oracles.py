@@ -48,6 +48,22 @@ def floyd_distances(g: WeightedGraph) -> list[list[float]]:
     return d
 
 
+def shortest_path_reference(m: MetricSpace, u: int, v: int) -> list[int]:
+    """The greedy smallest-id shortest path from u to v, recomputed per
+    call from ``m.dist`` read as numpy scalars."""
+    path, cur, remaining = [u], u, float(m.dist[u, v])
+    while cur != v:
+        for z, w in m.neighbors(cur):
+            if abs(w + float(m.dist[z, v]) - remaining) <= config.EPS_GEO:
+                path.append(z)
+                remaining -= w
+                cur = z
+                break
+        else:
+            raise RuntimeError("no shortest-path step")
+    return path
+
+
 def ball_scan(m: MetricSpace, v: int, r: float, eps: float = 1e-9) -> set[int]:
     return {u for u in range(m.n) if m.distance(v, u) <= r + eps}
 

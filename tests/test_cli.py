@@ -360,12 +360,22 @@ def _shifted_star():
     ))
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
-@pytest.mark.parametrize("build", [_huge_slopes, _alternating_releases, _shifted_star])
+def _huge_weights():
+    """A deadline instance with every weight multiplied by 1e6: a float
+    ulp of its path sums exceeds the shortest-path walk's tolerance."""
+    inst = generate(seed=0, n_points=8, n_requests=8, mode="deadline")
+    g = inst.graph
+    return replace(inst, graph=replace(g, edges=tuple((u, v, w * 1e6) for u, v, w in g.edges)))
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "report"])
+@pytest.mark.parametrize("build", [_huge_slopes, _alternating_releases, _shifted_star,
+                                   _huge_weights])
 def test_out_of_range_delay_instance_exit_2(tmp_path, capsys, command, build):
-    """Numbers the engine's absolute tolerances cannot resolve are an input
-    error, not a traceback."""
+    """Numbers the engines' absolute tolerances cannot resolve are an input
+    error, not a traceback, in either mode: ``_huge_weights`` is a
+    deadline instance."""
     path = tmp_path / "huge.json"
     path.write_text(serialize_instance(build()))
-    _input_error(capsys, [command, "--instance", str(path)],
+    _input_error(capsys, _instance_argv(command, path, tmp_path),
                  "outside the numeric range the engine resolves")

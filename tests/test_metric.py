@@ -238,6 +238,24 @@ def test_perforated_ball_contains_no_nodes():
             assert hi <= w - hole + 1e-9
 
 
+def test_distance_reads_dist_in_any_layout():
+    """``distance`` reads through a memoryview of ``dist`` that copies
+    nothing; every pair gives the Python float ``float(dist[u, v])`` gives,
+    on a built metric and on spaces over a Fortran-ordered matrix and a
+    sliced, non-contiguous one."""
+    m = build_metric(random_graph(random.Random(101), 23, extra_edges=15))
+    sliced = np.random.default_rng(7).random((2 * m.n, 3 * m.n))[::2, 1::3]
+    spaces = [m, MetricSpace(m.n, np.asfortranarray(m.dist), m.d_min, m.points),
+              MetricSpace(m.n, sliced, 0.0, m.points)]
+    for space in spaces:
+        assert space.dist_view.obj is space.dist
+        for u in range(m.n):
+            for v in range(m.n):
+                d = space.distance(u, v)
+                assert type(d) is float and d == float(space.dist[u, v])
+    assert not spaces[1].dist.flags.c_contiguous and not sliced.flags.contiguous
+
+
 def test_shortest_path_nodes_deterministic(path_metric):
     assert path_metric.shortest_path_nodes(0, 2) == [0, 1, 2]
     assert path_metric.shortest_path_nodes(2, 0) == [2, 1, 0]

@@ -21,7 +21,7 @@ from metricserve.steiner import (
 from metricserve.walks import tree_adjacency
 
 from conftest import random_graph
-from oracles import pcst_enumeration, steiner_enumeration
+from oracles import pcst_enumeration, shortest_path_reference, steiner_enumeration
 
 
 def _connects(edges, required):
@@ -510,21 +510,6 @@ def test_pcst_approx_matches_reference_moat_growth():
         ), ("two penalties", i)
 
 
-def _reference_path(m, u, v):
-    """Reference: the greedy smallest-id shortest path, recomputed per call."""
-    path, cur, remaining = [u], u, m.distance(u, v)
-    while cur != v:
-        for z, w in m.neighbors(cur):
-            if abs(w + m.distance(z, v) - remaining) <= config.EPS_GEO:
-                path.append(z)
-                remaining -= w
-                cur = z
-                break
-        else:
-            raise RuntimeError("no shortest-path step")
-    return path
-
-
 def _reference_kruskal(nodes, weighted_edges):
     parent = {v: v for v in nodes}
 
@@ -569,7 +554,7 @@ def _reference_steiner_approx(m, terminals):
     ]
     union = set()
     for u, v in _reference_kruskal(set(pts), closure):
-        path = _reference_path(m, u, v)
+        path = shortest_path_reference(m, u, v)
         union.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
     nodes = {u for e in union for u in e}
     sub_mst = _reference_kruskal(nodes, [(m.edge_weight(u, v), u, v) for u, v in union])
@@ -628,6 +613,40 @@ def test_steiner_approx_growth_matches_batch_reference():
             want_edges, want_cost = _reference_steiner_approx(m, terminals)
             assert (tree.tree_edges, tree.cost) == (want_edges, want_cost), (i, step)
             assert steiner_approx(m, terminals) == tree, (i, step)
+
+
+def test_closure_mst_from_scratch_is_kruskal_acceptance_order():
+    """A solve with nothing to grow from builds its closure MST by Prim; it
+    must be Kruskal's over the whole closure, edge for edge and in
+    acceptance order, and growing from it must give the batch tree.  320
+    seeded spaces of up to 60 nodes and 40 terminals: integer weights
+    (exact ties), tenths, random floats and metric closures."""
+    rng = random.Random(83)
+    for i in range(320):
+        n = rng.randint(2, 60)
+        kind = i % 4
+        if kind == 0:
+            m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(2 * n),
+                                          weight_range=(1, 3), integer_weights=True))
+        elif kind == 1:
+            g = random_graph(rng, n, extra_edges=rng.randrange(2 * n), weight_range=(1, 9),
+                             integer_weights=True)
+            m = build_metric(replace(g, edges=tuple((u, v, w / 10) for u, v, w in g.edges)))
+        elif kind == 2:
+            m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(2 * n)))
+        else:
+            base = build_metric(random_graph(rng, n + 4, extra_edges=rng.randrange(4),
+                                             weight_range=(1, 4), integer_weights=True))
+            m = complete_graph_on(base, rng.sample(range(n + 4), n))
+        terminals = set(rng.sample(range(n), rng.randint(2, min(n, 40))))
+        pts = sorted(terminals)
+        closure = [(m.distance(a, b), a, b) for j, a in enumerate(pts) for b in pts[j + 1:]]
+        want = tuple((m.distance(a, b), a, b) for a, b in _reference_kruskal(terminals, closure))
+        solution = steiner_approx(m, terminals)
+        assert solution.closure_mst == want, i
+        more = terminals | set(rng.sample(range(n), rng.randint(1, n)))
+        grown = steiner_approx(m, more, grow_from=solution)
+        assert (grown.tree_edges, grown.cost) == _reference_steiner_approx(m, more), i
 
 
 def test_steiner_approx_prefix_within_twice_full_plus_engine_margin():
