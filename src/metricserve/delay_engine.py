@@ -247,7 +247,9 @@ class DelayEngine(EngineCore):
     # -- the service ----------------------------------------------------------
 
     def upon_critical(self, critical_level: int, t: float) -> DelayServiceRecord:
-        if self.max_critical_level(t) is None:
+        """Serve at ``t``; the caller passes ``max_critical_level(t)``, which
+        ``run_delay`` and ``next_critical_event`` have both just computed."""
+        if critical_level is None:
             raise RuntimeError("scheduler bug: no level is critical now")
         service_level = critical_level + 3
         a = self.position

@@ -10,6 +10,7 @@ criticality detection is exact rather than a numeric root search.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 import random
@@ -44,6 +45,8 @@ class DeadlineRequest:
     deadline: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.release) and math.isfinite(self.deadline)):
+            raise InstanceFormatError(f"request {self.id}: release and deadline must be finite")
         if self.deadline < self.release:
             raise InstanceFormatError(
                 f"request {self.id}: deadline {self.deadline} precedes release {self.release}"
@@ -72,6 +75,8 @@ class DelayFunction:
             tuple((float(t), float(y)) for t, y in self.breakpoints),
         )
         object.__setattr__(self, "_times", tuple(t for t, _ in self.breakpoints))
+        if not all(map(math.isfinite, (self.final_slope, *itertools.chain(*self.breakpoints)))):
+            raise InstanceFormatError("delay times, values and final slope must be finite")
         if self.breakpoints[0][1] != 0.0:
             raise InstanceFormatError("delay must be zero at release")
         for (t0, y0), (t1, y1) in zip(self.breakpoints, self.breakpoints[1:]):
@@ -131,6 +136,8 @@ class DelayRequest:
     delay: DelayFunction
 
     def __post_init__(self):
+        if not math.isfinite(self.release):
+            raise InstanceFormatError(f"request {self.id}: release must be finite")
         if abs(self.delay.release - self.release) > config.EPS_TIME:
             raise InstanceFormatError(
                 f"request {self.id}: delay curve starts at {self.delay.release}, "
@@ -281,34 +288,48 @@ def parse_instance(text: str) -> Instance:
     )
 
 
+# one value per line, as json.dumps(doc, sort_keys=True, indent=1) writes them
+_EDGE = "   [\n    %d,\n    %d,\n    %r\n   ]"
+_BREAKPOINT = "     [\n      %r,\n      %r\n     ]"
+_DEADLINE = '  {\n   "deadline": %r,\n   "id": %d,\n   "point": %d,\n   "release": %r\n  }'
+_DELAY = (
+    '  {\n   "delay": {\n    "breakpoints": %s,\n    "final_slope": %r\n   },'
+    '\n   "id": %d,\n   "point": %d,\n   "release": %r\n  }'
+)
+_DOCUMENT = (
+    '{\n "graph": {\n  "edges": %s,\n  "nodes": %d\n },\n "mode": "%s",'
+    '\n "requests": %s,\n "server_start": %d\n}\n'
+)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
 def serialize_instance(inst: Instance) -> str:
-    doc = {
-        "graph": {
-            "nodes": inst.graph.node_count,
-            "edges": [[u, v, w] for u, v, w in inst.graph.edges],
-        },
-        "server_start": inst.server_start,
-        "mode": inst.mode,
-        "requests": [],
-    }
-    for q in inst.requests:
-        if inst.mode == "deadline":
-            doc["requests"].append(
-                {"id": q.id, "point": q.point, "release": q.release, "deadline": q.deadline}
+    """The document ``parse_instance`` reads, as the text of
+    ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``.
+
+    Filled from fixed templates rather than by ``json``, whose indented
+    output runs the pure-Python encoder.  Floats are written as ``%r``,
+    json's own ``float.__repr__`` text, and ids, points and node counts
+    as ``%d``: every path that builds an instance stores plain Python
+    ints and finite floats.
+    """
+    if inst.mode == "deadline":
+        requests = [_DEADLINE % (q.deadline, q.id, q.point, q.release) for q in inst.requests]
+    else:
+        requests = [
+            _DELAY % (
+                _json_list([_BREAKPOINT % bp for bp in q.delay.breakpoints], "    "),
+                q.delay.final_slope, q.id, q.point, q.release,
             )
-        else:
-            doc["requests"].append(
-                {
-                    "id": q.id,
-                    "point": q.point,
-                    "release": q.release,
-                    "delay": {
-                        "breakpoints": [[t, y] for t, y in q.delay.breakpoints],
-                        "final_slope": q.delay.final_slope,
-                    },
-                }
-            )
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+            for q in inst.requests
+        ]
+    edges = _json_list([_EDGE % e for e in inst.graph.edges], "  ")
+    return _DOCUMENT % (
+        edges, inst.graph.node_count, inst.mode, _json_list(requests, " "), inst.server_start
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ routes stay independent: Floyd-style relaxation for distances, linear
 scans for balls, pure interval arithmetic for measures, subset/permutation
 enumeration for trees and offline optima.
 
-The exceptions are the last two sections: the metric closure built
-through the complete graph's edge list, and the scalar push-form exact
-oracles, kept as they were before the library versions were sped up.
+The exceptions are the last three sections: the metric closure built
+through the complete graph's edge list, the scalar push-form exact
+oracles, and the ``json.dumps`` instance writer, kept as they were
+before the library versions were sped up.
 They are references for byte and trace equality (ties and visit
 orders), not independent routes.
 """
@@ -16,6 +17,7 @@ orders), not independent routes.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -539,3 +541,40 @@ def opt_delay_reference(inst: Instance) -> OptTrace:
         out_events.append(OptEvent(time=events[j], walk=tuple(walk), served_ids=served_ids))
         pos = walk[-1]
     return OptTrace("delay", inst.server_start, tuple(out_events), movement, delay_cost, service_time)
+
+
+# ---------------------------------------------------------------------------
+# reference instance writer: the document built as a dict and written by
+# json, kept verbatim so that the template writer can be checked against
+# it byte for byte
+# ---------------------------------------------------------------------------
+
+
+def serialize_instance_reference(inst: Instance) -> str:
+    doc = {
+        "graph": {
+            "nodes": inst.graph.node_count,
+            "edges": [[u, v, w] for u, v, w in inst.graph.edges],
+        },
+        "server_start": inst.server_start,
+        "mode": inst.mode,
+        "requests": [],
+    }
+    for q in inst.requests:
+        if inst.mode == "deadline":
+            doc["requests"].append(
+                {"id": q.id, "point": q.point, "release": q.release, "deadline": q.deadline}
+            )
+        else:
+            doc["requests"].append(
+                {
+                    "id": q.id,
+                    "point": q.point,
+                    "release": q.release,
+                    "delay": {
+                        "breakpoints": [[t, y] for t, y in q.delay.breakpoints],
+                        "final_slope": q.delay.final_slope,
+                    },
+                }
+            )
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"

@@ -384,14 +384,28 @@ def _seeded_delay_runs():
     return runs + [(inst, False) for inst in extra]
 
 
+def _assert_delay_run_goldens_match():
+    """Every delay ``run`` golden, in both regimes and investment_star(120)
+    among them, is reproduced byte for byte."""
+    from golden_traces import cases, golden_path, render
+    from metricserve.instance import parse_instance
+
+    goldens = [
+        (c, p) for c, p in cases()
+        if c.startswith("run") and parse_instance(p.read_text()).mode == "delay"
+    ]
+    assert {c for c, _ in goldens} == {"run", "run-request-regime"}
+    assert any(p.stem == "investment_star-120" for _, p in goldens)
+    for command, path in goldens:
+        assert render(command, path) == golden_path(command, path).read_text(), path.name
+
+
 def test_traces_unchanged_with_forwarding_certificate_off(monkeypatch):
     """An infinite certificate margin certifies no forwarding search, so
     every search scans its probes.  Every delay golden still matches, the
     seeded runs give the same trace with the certificate on and off, and
     the certificate saves prize-collecting solves."""
     import metricserve.delay_engine as engine_module
-    from golden_traces import cases, golden_path, render
-    from metricserve.instance import parse_instance
     from metricserve.steiner import pcst_approx
 
     solves = []
@@ -409,13 +423,7 @@ def test_traces_unchanged_with_forwarding_certificate_off(monkeypatch):
     for (inst, rr), want in zip(runs, with_certificate):
         assert run_delay(inst, request_regime=rr).to_json() == want
     assert solves_with_certificate < len(solves)
-    goldens = [
-        (c, p) for c, p in cases()
-        if c.startswith("run") and parse_instance(p.read_text()).mode == "delay"
-    ]
-    assert goldens
-    for command, path in goldens:
-        assert render(command, path) == golden_path(command, path).read_text(), path.name
+    _assert_delay_run_goldens_match()
 
 
 def test_certified_search_solves_once(monkeypatch):
@@ -495,3 +503,28 @@ def test_certified_search_solves_once(monkeypatch):
                 and any(b < a for a, b in zip(rec["probes"][1:], rec["probes"][2:]))
                 for rec in searches
             )
+
+
+def test_upon_critical_is_passed_the_critical_level(monkeypatch):
+    """upon_critical trusts its caller for the critical level: at every
+    call over every delay run golden in both regimes, investment_star(120)
+    among them, the level passed equals max_critical_level(t) afresh, and
+    each trace still equals its golden."""
+    levels = []
+    real = DelayEngine.upon_critical
+
+    def spy(self, critical_level, t):
+        assert self.max_critical_level(t) == critical_level, (critical_level, t)
+        levels.append(critical_level)
+        return real(self, critical_level, t)
+
+    monkeypatch.setattr(DelayEngine, "upon_critical", spy)
+    _assert_delay_run_goldens_match()
+    assert levels
+
+
+def test_upon_critical_refuses_no_critical_level(unit_edge_graph):
+    engine = DelayEngine(build_metric(unit_edge_graph), 0)
+    engine.reveal(_slope_request(0, 1, 0.0, 1.0))
+    with pytest.raises(RuntimeError, match="no level is critical"):
+        engine.upon_critical(None, 0.0)

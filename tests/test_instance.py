@@ -1,6 +1,7 @@
 """Instance model: parsing, serialization round-trips, generation, normalization."""
 
 import json
+import math
 import random
 
 import pytest
@@ -13,12 +14,18 @@ from metricserve.instance import (
     DelayRequest,
     Instance,
     InstanceFormatError,
+    certification_chain,
+    delay_certification_chain,
     distinct_deadlines_normalize,
     generate,
+    investment_star,
     parse_instance,
     serialize_instance,
 )
 from metricserve.metric import WeightedGraph
+
+import golden_traces
+from oracles import serialize_instance_reference
 
 MINIMAL_DEADLINE = """
 {"graph": {"nodes": 1, "edges": []},
@@ -143,6 +150,94 @@ def test_generated_suite_roundtrips():
         again = parse_instance(text)
         assert again == inst
         assert serialize_instance(again) == text
+
+
+def _assert_written_as_json(named):
+    for name, inst in named:
+        assert serialize_instance(inst) == serialize_instance_reference(inst), name
+
+
+@pytest.mark.parametrize("folder", [golden_traces.CORPUS, golden_traces.INSTANCES],
+                         ids=["corpus", "golden-instances"])
+def test_writer_matches_json_on_stored_files(folder):
+    paths = sorted(folder.glob("*.json"))
+    assert paths
+    _assert_written_as_json((p.name, parse_instance(p.read_text())) for p in paths)
+
+
+@pytest.mark.parametrize("mode", ["deadline", "delay"])
+def test_writer_matches_json_on_generated_instances(mode):
+    """Empty edge and request lists (one point, no requests) included."""
+    shapes = [(1, 0), (1, 3), (4, 0), (2, 1)] + [(1 + s % 9, s % 7) for s in range(40)]
+    _assert_written_as_json(
+        ((seed, n, m), generate(seed=seed, n_points=n, n_requests=m, mode=mode))
+        for seed, (n, m) in enumerate(shapes)
+    )
+
+
+def test_writer_matches_json_on_constructed_instances():
+    gt = golden_traces
+    _assert_written_as_json([
+        ("investment_star", investment_star(120)),
+        ("certification_chain", certification_chain(6)),
+        ("delay_certification_chain", delay_certification_chain(0.75)),
+        ("tenth_weight_star", gt.tenth_weight_star(gt.TENTH_STAR_LEAVES)),
+        *((f"{family}-{seed}", gt.FAMILY[family](seed)) for family, seed in gt.SEEDED_FAMILY),
+        *((f"tenth-weight-{seed}", gt.tenth_weight_instance(seed)) for seed in range(10)),
+        *((f"close-release-{seed}", gt.close_release_instance(seed)) for seed in range(10)),
+    ])
+
+
+def test_writer_matches_json_on_extreme_floats():
+    """Subnormal, huge, exponent-form, negative-zero and rounded floats,
+    and negative times."""
+    tiny, sum_ = 5e-324, 0.1 + 0.2
+    graph = WeightedGraph(node_count=7, edges=(
+        (0, 1, tiny), (1, 2, 1e300), (2, 3, 1e16), (3, 4, 1e-5), (4, 5, sum_), (5, 6, 2.0),
+    ))
+    deadline = Instance(graph, 6, "deadline", (
+        DeadlineRequest(id=0, point=0, release=-0.0, deadline=tiny),
+        DeadlineRequest(id=1, point=1, release=-1e300, deadline=-1e16),
+        DeadlineRequest(id=2, point=2, release=-2.0, deadline=1e-5),
+        DeadlineRequest(id=3, point=3, release=sum_, deadline=1e300),
+    ))
+    curves = [
+        DelayFunction(((-1e16, 0.0), (-2.0, tiny), (1e-5, sum_), (2.0, 1e300)), 1e-5),
+        DelayFunction(((-0.0, -0.0), (1e16, 2.0)), sum_),
+        DelayFunction(((-1e300, 0.0),), 1e300),
+    ]
+    delay = Instance(graph, 0, "delay", tuple(
+        DelayRequest(id=i, point=i, release=fn.release, delay=fn)
+        for i, fn in enumerate(curves)
+    ))
+    _assert_written_as_json([("deadline", deadline), ("delay", delay)])
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+UNIT_CURVE = DelayFunction(((0.0, 0.0),), 1.0)
+
+
+@pytest.mark.parametrize("x", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: DeadlineRequest(id=0, point=0, release=x, deadline=1.0),
+        lambda x: DeadlineRequest(id=0, point=0, release=0.0, deadline=x),
+        lambda x: DelayRequest(id=0, point=0, release=x, delay=UNIT_CURVE),
+        lambda x: DelayFunction(((x, 0.0),), 1.0),
+        lambda x: DelayFunction(((0.0, x),), 1.0),
+        lambda x: DelayFunction(((0.0, 0.0), (x, 1.0)), 1.0),
+        lambda x: DelayFunction(((0.0, 0.0), (1.0, x)), 1.0),
+        lambda x: DelayFunction(((0.0, 0.0),), x),
+    ],
+    ids=["deadline-release", "deadline", "delay-release", "first-time", "first-value",
+         "later-time", "later-value", "final-slope"],
+)
+def test_non_finite_numbers_refused_in_memory(build, x):
+    """As the parser and WeightedGraph refuse them, so nothing in memory
+    can be written as a NaN or Infinity the parser would then refuse."""
+    with pytest.raises(InstanceFormatError, match="finite"):
+        build(x)
 
 
 def test_normalize_no_ties_is_identity():
