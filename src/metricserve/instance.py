@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,6 +38,10 @@ class InstanceFormatError(ValueError):
     """Raised on schema or semantic violations in an instance document."""
 
 
+# abs(x) <= _FLOAT_MAX is false for NaN, +-inf and ints too large for a float
+_FLOAT_MAX = sys.float_info.max
+
+
 @dataclass(frozen=True)
 class DeadlineRequest:
     id: int
@@ -45,7 +50,7 @@ class DeadlineRequest:
     deadline: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.release) and math.isfinite(self.deadline)):
+        if not (abs(self.release) <= _FLOAT_MAX and abs(self.deadline) <= _FLOAT_MAX):
             raise InstanceFormatError(f"request {self.id}: release and deadline must be finite")
         if self.deadline < self.release:
             raise InstanceFormatError(
@@ -69,14 +74,19 @@ class DelayFunction:
     def __post_init__(self):
         if not self.breakpoints:
             raise InstanceFormatError("delay function needs at least one breakpoint")
+        values = (self.final_slope, *itertools.chain(*self.breakpoints))
+        try:
+            finite = all(map(math.isfinite, values))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise InstanceFormatError("delay times, values and final slope must be finite")
         object.__setattr__(
             self,
             "breakpoints",
             tuple((float(t), float(y)) for t, y in self.breakpoints),
         )
         object.__setattr__(self, "_times", tuple(t for t, _ in self.breakpoints))
-        if not all(map(math.isfinite, (self.final_slope, *itertools.chain(*self.breakpoints)))):
-            raise InstanceFormatError("delay times, values and final slope must be finite")
         if self.breakpoints[0][1] != 0.0:
             raise InstanceFormatError("delay must be zero at release")
         for (t0, y0), (t1, y1) in zip(self.breakpoints, self.breakpoints[1:]):
@@ -136,7 +146,7 @@ class DelayRequest:
     delay: DelayFunction
 
     def __post_init__(self):
-        if not math.isfinite(self.release):
+        if not abs(self.release) <= _FLOAT_MAX:
             raise InstanceFormatError(f"request {self.id}: release must be finite")
         if abs(self.delay.release - self.release) > config.EPS_TIME:
             raise InstanceFormatError(

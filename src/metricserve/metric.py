@@ -55,8 +55,8 @@ class DisconnectedGraphError(ValueError):
 
 
 class NumericRangeError(ArithmeticError):
-    """The instance's numbers lie outside the range the engines resolve with
-    their absolute tolerances: a path sum drifts from its distance by more than
+    """The instance's numbers lie outside the range the engines resolve: a
+    distance overflows, a path sum drifts from its distance by more than
     ``EPS_GEO``, or a delay threshold crossing fails once residuals are summed."""
 
 
@@ -124,8 +124,9 @@ class MetricSpace:
 
     Node i stands for point ``points[i]`` of the metric the space was
     restricted from; a graph metric maps every node to itself.  The graph's
-    edges are ``_edge_weight``; ``dist`` is exactly symmetric (``_relax``
-    does the same float operations on (i, j) and (j, i)), with a zero diagonal.
+    edges are ``_edge_weight``; ``dist`` is exactly symmetric, with a zero
+    diagonal: each ``_relax`` round sets (i, j) and (j, i) from ``row[i] +
+    row[j]`` and ``row[j] + row[i]``, and float addition commutes.
 
     Scalar reads go through ``dist_view``, a ``memoryview`` of ``dist``:
     ``dist_view[u, v]`` reads the bytes of ``dist[u, v]`` in any layout and
@@ -229,19 +230,38 @@ def build_metric(g: WeightedGraph) -> MetricSpace:
 
 
 def _relax(dist: np.ndarray, points, adj, edge_weight) -> MetricSpace:
-    """Floyd-Warshall rounds on ``dist`` in place, k ascending, into a space;
-    raises DisconnectedGraphError when some pair is unreachable."""
+    """Floyd-Warshall rounds on ``dist`` in place, k ascending, into a space.
+
+    Round k's candidates ``row[i] + row[j]``, ``row = dist[k]``, are the
+    product ``[row, 1] @ [1; row]`` in numpy's BLAS, bit for bit: each entry
+    is ``row[i]*1.0 + 1.0*row[j]``, both products are exact, so any dot-product
+    kernel rounds the sum once, with or without FMA, in any order, from a zero
+    accumulator.  Row k stands for column k as ``dist`` is exactly symmetric:
+    both callers pass a symmetric matrix and each round keeps it so.  ``inf``
+    propagates as in ``np.add``; the invalid flag comes from padding lanes of
+    OpenBLAS edge tiles, which multiply 0 by ``inf`` and are never stored (any
+    n not a multiple of 8, while a row holds ``inf``).  A final ``inf`` raises
+    DisconnectedGraphError, or NumericRangeError if ``adj`` reaches every node."""
+    n = len(dist)
     buf = np.empty_like(dist)
-    for k in range(len(dist)):
-        # in place: row and column k do not change in round k (dist[k, k] == 0)
-        np.minimum(dist, np.add(dist[:, k, None], dist[None, k, :], out=buf), out=dist)
+    e = np.ones((3, n))
+    a, b = e[1:].T, e[:2]  # [row k, 1] and [1; row k] once e[1] holds row k
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n):
+            e[1] = dist[k]
+            np.minimum(dist, np.matmul(a, b, out=buf), out=dist)
     del buf  # so that it never coexists with the d_min copy below
     if np.isinf(dist).any():
-        bad = int(np.argwhere(np.isinf(dist))[0][1])
+        reached = [0]
+        for u in reached:  # breadth-first; the loop reads what it appends
+            reached += [z for z, _ in adj[u] if z not in reached]
+        if len(reached) == n:
+            raise NumericRangeError("a shortest-path distance overflows the float range")
+        bad = min(set(range(n)).difference(reached))
         raise DisconnectedGraphError(f"graph is disconnected: node {bad} unreachable")
-    d_min = float(dist[dist > 0].min()) if len(dist) > 1 else 1.0
+    d_min = float(dist[dist > 0].min()) if n > 1 else 1.0
     dist.setflags(write=False)
-    return MetricSpace(len(dist), dist, d_min, points, adj, edge_weight)
+    return MetricSpace(n, dist, d_min, points, adj, edge_weight)
 
 
 def ball_points(m: MetricSpace, v: int, r: float) -> frozenset[int]:

@@ -6,10 +6,11 @@ routes stay independent: Floyd-style relaxation for distances, linear
 scans for balls, pure interval arithmetic for measures, subset/permutation
 enumeration for trees and offline optima.
 
-The exceptions are the last three sections: the metric closure built
-through the complete graph's edge list, the scalar push-form exact
-oracles, and the ``json.dumps`` instance writer, kept as they were
-before the library versions were sped up.
+The exceptions are the last three sections: the broadcast-add
+relaxation and the metric closure built through the complete graph's
+edge list, the scalar push-form exact oracles, and the ``json.dumps``
+instance writer, kept as they were before the library versions were
+sped up.
 They are references for byte and trace equality (ties and visit
 orders), not independent routes.
 """
@@ -20,6 +21,8 @@ import itertools
 import json
 import math
 from dataclasses import replace
+
+import numpy as np
 
 from metricserve import config
 from metricserve.instance import Instance
@@ -320,10 +323,22 @@ def opt_delay_exhaustive(m: MetricSpace, inst: Instance) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reference metric closure: the complete graph's edge list through
-# WeightedGraph and build_metric, kept so that the sliced closure can be
-# checked against it byte for byte
+# reference relaxation and metric closure: the broadcast-add Floyd-Warshall
+# rounds, and the complete graph's edge list through WeightedGraph and
+# build_metric, kept so that the library versions can be checked against
+# them byte for byte
 # ---------------------------------------------------------------------------
+
+
+def relax_reference(start: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall rounds on a copy of ``start``, k ascending, each
+    candidate matrix a broadcast add of column k and row k."""
+    dist = start.copy()
+    buf = np.empty_like(dist)
+    for k in range(len(dist)):
+        # in place: row and column k do not change in round k (dist[k, k] == 0)
+        np.minimum(dist, np.add(dist[:, k, None], dist[None, k, :], out=buf), out=dist)
+    return dist
 
 
 def complete_graph_on_reference(m: MetricSpace, points) -> MetricSpace:

@@ -165,6 +165,21 @@ def test_disconnected_graph_exit_2(tmp_path, capsys, command):
     assert "disconnected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "opt", "verify", "report"])
+def test_overflowing_distance_exit_2(tmp_path, capsys, command):
+    """A connected path whose end-to-end distance passes the float range is
+    out of range, not disconnected, and no numpy warning reaches stderr."""
+    inst = tmp_path / "far.json"
+    inst.write_text(json.dumps({
+        "graph": {"nodes": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]},
+        "server_start": 0,
+        "mode": "deadline",
+        "requests": [{"id": 0, "point": 2, "release": 0.0, "deadline": 1.0}],
+    }))
+    _input_error(capsys, _instance_argv(command, inst, tmp_path), "overflows the float range")
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize(
     "field,value", [("release", float("nan")), ("point", 1.5), ("point", True)]
 )

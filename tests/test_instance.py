@@ -217,7 +217,7 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 UNIT_CURVE = DelayFunction(((0.0, 0.0),), 1.0)
 
 
-@pytest.mark.parametrize("x", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("x", [*NON_FINITE, 10**400], ids=["nan", "inf", "-inf", "int-1e400"])
 @pytest.mark.parametrize(
     "build",
     [
@@ -235,7 +235,8 @@ UNIT_CURVE = DelayFunction(((0.0, 0.0),), 1.0)
 )
 def test_non_finite_numbers_refused_in_memory(build, x):
     """As the parser and WeightedGraph refuse them, so nothing in memory
-    can be written as a NaN or Infinity the parser would then refuse."""
+    can be written as a NaN or Infinity the parser would then refuse; an
+    int too large for a float is refused too, not an OverflowError."""
     with pytest.raises(InstanceFormatError, match="finite"):
         build(x)
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from metricserve import metric
+from metricserve.instance import generate, investment_star
 from metricserve.metric import (
     Ball,
     DisconnectedGraphError,
     MetricSpace,
+    NumericRangeError,
     PerforatedBall,
     WeightedGraph,
     ball_points,
@@ -27,6 +29,7 @@ from oracles import (
     complete_graph_on_reference,
     floyd_distances,
     interval_ball_measure,
+    relax_reference,
 )
 
 
@@ -45,6 +48,21 @@ def test_single_node_metric():
 def test_disconnected_graph_rejected():
     g = WeightedGraph(node_count=3, edges=((0, 1, 1.0),))
     with pytest.raises(DisconnectedGraphError):
+        build_metric(g)
+
+
+def test_overflowing_distance_is_not_reported_as_disconnected():
+    """A connected path whose one distance passes the float range."""
+    g = WeightedGraph(node_count=3, edges=((0, 1, 1e308), (1, 2, 1e308)))
+    with pytest.raises(NumericRangeError, match="overflows"):
+        build_metric(g)
+
+
+def test_disconnected_graph_names_the_first_unreachable_node():
+    """A disconnected graph stays disconnected when a reachable distance
+    also overflows; the message names the smallest node 0 cannot reach."""
+    g = WeightedGraph(node_count=5, edges=((0, 1, 1e308), (1, 3, 1e308), (2, 4, 1.0)))
+    with pytest.raises(DisconnectedGraphError, match="node 2 unreachable"):
         build_metric(g)
 
 
@@ -67,16 +85,55 @@ def test_graph_rejects_non_positive_or_non_finite_weights(weight):
         WeightedGraph(node_count=3, edges=((0, 1, 1.0), (1, 2, weight)))
 
 
+WEIGHT_KINDS = {
+    "integer": lambda rng: float(rng.randint(1, 10)),
+    "float": lambda rng: rng.uniform(1.0, 10.0),
+    "unit": lambda rng: 1.0,
+    "tenths": lambda rng: rng.randint(1, 30) / 10,
+    "subnormal": lambda rng: rng.uniform(5e-324, 2.2e-308),
+    "1e300": lambda rng: rng.uniform(1.0, 10.0) * 1e300,
+}
+
+
+@pytest.mark.filterwarnings("error")
 def test_distances_match_floyd_oracle():
-    """50 random graphs against a triple-loop relaxation, exact equality."""
+    """50 seeded graphs per weight kind, n <= 40, against the triple loop,
+    byte for byte: the rank-2 product rounds each candidate sum exactly as
+    one add does, for subnormal sums and sums near the top of the float
+    range too."""
     rng = random.Random(7)
-    for _ in range(50):
-        g = random_graph(rng, 8, extra_edges=rng.randrange(6), integer_weights=True)
+    for kind, weight in WEIGHT_KINDS.items():
+        for _ in range(50):
+            n = rng.randint(1, 40)
+            tree = random_graph(rng, n, extra_edges=rng.randrange(2 * n))
+            g = WeightedGraph(n, tuple((u, v, weight(rng)) for u, v, _ in tree.edges))
+            oracle = np.array(floyd_distances(g))
+            assert build_metric(g).dist.tobytes() == oracle.tobytes(), kind
+
+
+def _start_matrix(g: WeightedGraph) -> np.ndarray:
+    """The matrix ``build_metric`` relaxes: edge weights, zero diagonal, inf."""
+    dist = np.full((g.node_count, g.node_count), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for u, v, w in g.edges:
+        dist[u, v] = dist[v, u] = w
+    return dist
+
+
+@pytest.mark.filterwarnings("error")
+def test_relaxation_matches_broadcast_reference_byte_for_byte():
+    """Benchmark-size graphs, the investment star and closures over random
+    subsets of them, against the broadcast-add rounds."""
+    rng = random.Random(2029)
+    graphs = [generate(seed=s, n_points=200, n_requests=0, mode="deadline").graph
+              for s in range(4)]
+    for g in [*graphs, investment_star(120).graph]:
         m = build_metric(g)
-        oracle = floyd_distances(g)
-        for i in range(8):
-            for j in range(8):
-                assert m.distance(i, j) == oracle[i][j]
+        assert m.dist.tobytes() == relax_reference(_start_matrix(g)).tobytes()
+        for size in (2, 13, rng.randint(3, m.n - 1), m.n):
+            pts = sorted(rng.sample(range(m.n), size))
+            closure = complete_graph_on(m, pts)
+            assert closure.dist.tobytes() == relax_reference(m.dist[np.ix_(pts, pts)]).tobytes()
 
 
 def test_in_place_relaxation_matches_out_of_place_loop():
@@ -90,10 +147,7 @@ def test_in_place_relaxation_matches_out_of_place_loop():
             node_count=n,
             edges=tuple((u, v, w * 10.0 ** rng.uniform(-3, 2)) for u, v, w in tree.edges),
         )
-        ref = np.full((n, n), np.inf)
-        np.fill_diagonal(ref, 0.0)
-        for u, v, w in g.edges:
-            ref[u, v] = ref[v, u] = w
+        ref = _start_matrix(g)
         for k in range(n):
             ref = np.minimum(ref, ref[:, k, None] + ref[None, k, :])
         assert np.array_equal(build_metric(g).dist, ref)
