@@ -17,11 +17,10 @@ from metricserve.analysis import (
 )
 from metricserve.deadline_engine import run_deadline
 from metricserve.instance import certification_chain
-from metricserve.metric import build_metric
 from metricserve.offline_oracle import opt_deadline
 
 inst = certification_chain(n_far=6)
-m = build_metric(inst.graph)
+m = inst.metric
 trace = run_deadline(inst)
 opt = opt_deadline(inst)
 
@@ -34,8 +33,8 @@ for sid in sorted(cls.certified_ids):
           f"service {cert} (level {trace.services[cert].level}) "
           f"via witness request {cls.witness_of[cert]}")
 
-primary = build_primary_cylinders(inst, m, trace)
-certified = build_certified_cylinders(inst, m, trace, cls)
+primary = build_primary_cylinders(inst, trace)
+certified = build_certified_cylinders(inst, trace, cls)
 print("\ncylinders (shape radius, time interval):")
 for cyl in primary + certified:
     print(f"  {cyl.kind:9s} service {cyl.service_id}: radius {cyl.shape.radius:6.1f}, "
@@ -46,7 +45,7 @@ partition = perforate_and_partition(m, certified, rho)
 print(f"\nperforation rho={rho:g} -> {len(partition.classes)} classes, "
       f"disjoint: {partition.disjoint}")
 
-report = charge_report(inst, m, trace, opt)
+report = charge_report(inst, trace, opt)
 print(f"\ncharge report: {len(report.checks)} checks, all pass: {report.all_pass}")
 for c in report.checks:
     if "intersection" in c.kind:

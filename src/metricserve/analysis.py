@@ -146,7 +146,7 @@ class Cylinder:
 
 
 def build_primary_cylinders(
-    inst: Instance, m: MetricSpace, trace: Trace, opt: OptTrace | None = None
+    inst: Instance, trace: Trace, opt: OptTrace | None = None
 ) -> list[Cylinder]:
     """One cylinder per qualifying primary service.
 
@@ -159,6 +159,7 @@ def build_primary_cylinders(
     may sit on the server itself, where the concentrated-residual bound
     that the charging argument rests on is not available.
     """
+    m = inst.metric
     floor = min_level(m)
     by_id = {q.id: q for q in inst.requests}
     out = []
@@ -171,7 +172,7 @@ def build_primary_cylinders(
             trigger = by_id[s.trigger_id]
             if opt is not None:
                 a_star = opt.position_at(s.time)
-                if m.distance(a_star, trigger.point) < 2.0 ** (s.level - 6) - config.EPS_GEO:
+                if m.distance(a_star, trigger.point) < 2.0 ** (s.level - 6) - config.EPS:
                     continue
             t0, t1 = trigger.release, trigger.deadline
         else:
@@ -179,7 +180,7 @@ def build_primary_cylinders(
                 a_star = opt.position_at(s.time)
                 if (
                     m.distance(a_star, s.relocation_target)
-                    < 2.0 ** (s.level - 7) - config.EPS_GEO
+                    < 2.0 ** (s.level - 7) - config.EPS
                 ):
                     continue
             t0 = min(by_id[qid].release for qid in s.trigger_ids)
@@ -198,7 +199,7 @@ def build_primary_cylinders(
 
 
 def build_certified_cylinders(
-    inst: Instance, m: MetricSpace, trace: Trace, classification: Classification | None = None
+    inst: Instance, trace: Trace, classification: Classification | None = None
 ) -> list[Cylinder]:
     """Certified cylinders: triple-radius balls over [ptime, forwarding time].
 
@@ -206,6 +207,7 @@ def build_certified_cylinders(
     services that ended no later than this service's start and sit within
     ``6 * 2**level``; unbounded below when none exists.
     """
+    m = inst.metric
     if classification is None:
         classification = classify(trace)
     certified = [s for s in trace.services if s.service_id in classification.certified_ids]
@@ -216,11 +218,11 @@ def build_certified_cylinders(
         for other in certified:
             if other.service_id == s.service_id or other.level != s.level:
                 continue
-            if other.forwarding_time > s.time + config.EPS_TIME:
+            if other.forwarding_time > s.time + config.EPS:
                 continue
             if (
                 m.distance(other.start_position, s.start_position)
-                > 6.0 * 2.0**s.level + config.EPS_GEO
+                > 6.0 * 2.0**s.level + config.EPS
             ):
                 continue
             ptime = max(ptime, other.forwarding_time)
@@ -239,7 +241,7 @@ def build_certified_cylinders(
 
 def cylinders_disjoint(m: MetricSpace, a: Cylinder, b: Cylinder) -> bool:
     """Disjoint in time, or claiming disjoint edge parts in space."""
-    eps = config.EPS_TIME
+    eps = config.EPS
     if a.t_end <= b.t_start + eps or b.t_end <= a.t_start + eps:
         return True
     return shapes_edge_disjoint(m, a.shape, b.shape)
@@ -354,7 +356,7 @@ def _pdchg(s, opt: OptTrace) -> float:
     return math.fsum(
         res
         for qid, res in s.trigger_residuals.items()
-        if opt.service_time[qid] >= s.time - config.EPS_TIME
+        if opt.service_time[qid] >= s.time - config.EPS
     )
 
 
@@ -364,7 +366,7 @@ def _cdchg(inst: Instance, s, opt: OptTrace) -> float:
     by_id = {q.id: q for q in inst.requests}
     total = 0.0
     for qid in s.eligible_ids:
-        if opt.service_time[qid] < s.forwarding_time - config.EPS_TIME:
+        if opt.service_time[qid] < s.forwarding_time - config.EPS:
             continue
         q = by_id[qid]
         base = max(q.delay.value(s.time), s.eligible_ctr_before[qid])
@@ -372,15 +374,14 @@ def _cdchg(inst: Instance, s, opt: OptTrace) -> float:
     return total
 
 
-def charge_report(
-    inst: Instance, m: MetricSpace, trace: Trace, opt: OptTrace | None = None
-) -> ChargeReport:
+def charge_report(inst: Instance, trace: Trace, opt: OptTrace | None = None) -> ChargeReport:
     """Evaluate every structural inequality a trace is supposed to satisfy.
 
     Without an optimum trace only the classification and disjointness
     facts are checked; with one, the per-cylinder intersection bounds and
     the aggregated disjoint-family charges are evaluated as well.
     """
+    m = inst.metric
     mode = trace.mode
     report = ChargeReport(mode=mode)
     classification = classify(trace)
@@ -397,8 +398,8 @@ def charge_report(
         max_gap = 4.0 if mode == "deadline" else 5.0
         report.add("certifier-level-gap", f"service {sid}", gap, max_gap, ge=False)
 
-    all_primary = build_primary_cylinders(inst, m, trace, opt=None)
-    certified_cyls = build_certified_cylinders(inst, m, trace, classification)
+    all_primary = build_primary_cylinders(inst, trace, opt=None)
+    certified_cyls = build_certified_cylinders(inst, trace, classification)
     families = {"primary": all_primary, "certified": certified_cyls}
     for label, cylinders in families.items():
         bad = len(_overlapping_pairs(m, _by_level(cylinders)))
@@ -419,8 +420,8 @@ def charge_report(
             for qid in s.served_ids:
                 q = by_id[qid]
                 ok = (
-                    q.release >= cyl.t_start - config.EPS_TIME
-                    and q.deadline <= cyl.t_end + config.EPS_TIME
+                    q.release >= cyl.t_start - config.EPS
+                    and q.deadline <= cyl.t_end + config.EPS
                 )
                 report.add(
                     "window-in-certified-interval",
@@ -431,7 +432,7 @@ def charge_report(
                 )
         else:
             for qid in s.eligible_ids:
-                ok = by_id[qid].release > cyl.t_start - config.EPS_TIME
+                ok = by_id[qid].release > cyl.t_start - config.EPS
                 report.add(
                     "release-after-ptime",
                     f"service {s.service_id} request {qid}",
@@ -448,7 +449,7 @@ def charge_report(
         """Length of the optimum's edges during [t_start, t_end] inside ``shape``."""
         return shape_edge_measure(m, opt_edges_during(opt, t_start, t_end), shape)
 
-    qualified = build_primary_cylinders(inst, m, trace, opt=opt)
+    qualified = build_primary_cylinders(inst, trace, opt=opt)
     # per-cylinder intersection bounds
     for cyl in qualified + certified_cyls:
         s = trace.services[cyl.service_id]

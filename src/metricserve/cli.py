@@ -150,7 +150,7 @@ def _cmd_verify(args) -> int:
         opt = _opt_trace(inst)
     except OracleCapError as exc:
         raise _UsageError(str(exc)) from exc
-    report = charge_report(inst, inst.metric, trace, opt)
+    report = charge_report(inst, trace, opt)
     failures = [c.to_doc() for c in report.failures()]
     _emit(
         {
@@ -207,7 +207,7 @@ def _report_row(path: str) -> tuple[dict, dict[int, int]]:
         row["opt_cost"] = f"{opt.total_cost:.9g}"
         if opt.total_cost > 0:
             row["ratio"] = f"{trace.total_cost / opt.total_cost:.9g}"
-        elif trace.total_cost <= config.EPS_VAL:
+        elif trace.total_cost <= config.EPS:
             row["ratio"] = "1"
     except OracleCapError:
         pass

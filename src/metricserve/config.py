@@ -1,13 +1,10 @@
-"""Shared numeric tolerances.
+"""The shared numeric tolerance.
 
 All boundary comparisons in the package (ball membership, budget
-thresholds, event-time bisection) use one absolute tolerance, 1e-9,
-named below by what it compares.
+thresholds, event-time bisection) use one absolute tolerance, ``EPS``.
 """
 
-#: Absolute tolerance for geometric comparisons (distances, measures).
-EPS_GEO = 1e-9
-#: Absolute tolerance for value comparisons (delay, budgets, counters).
-EPS_VAL = EPS_GEO
-#: Absolute tolerance for event times (bisection stopping, tie detection).
-EPS_TIME = EPS_GEO
+#: Absolute tolerance for distances, values and event times.
+EPS = 1e-9
+#: Alias of ``EPS`` read by ``perfbench/workloads.py``; it goes when the benchmark does.
+EPS_TIME = EPS

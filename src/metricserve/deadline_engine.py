@@ -38,7 +38,6 @@ from dataclasses import asdict, dataclass
 from . import config
 from .engine import EngineCore, requests_doc
 from .instance import Instance, distinct_deadlines_normalize
-from .levels import clamp_bottom, level_le
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
 from .steiner import certificate_margin, steiner_approx
@@ -104,18 +103,18 @@ class DeadlineEngine(EngineCore):
         covers the three ways the code departs from that argument:
 
         - ``MetricSpace._walk`` accepts a hop when it is within
-          ``EPS_GEO`` of the remaining distance; the bound telescopes,
+          ``EPS`` of the remaining distance; the bound telescopes,
           and the last hop lands on ``d(v, v) = 0``, so an expanded path
-          exceeds its closure edge by at most ``EPS_GEO``, and the at
+          exceeds its closure edge by at most ``EPS``, and the at
           most ``len(eligible) - 1`` closure edges add at most
-          ``(len(eligible) - 1) * EPS_GEO`` over the closure MST;
+          ``(len(eligible) - 1) * EPS`` over the closure MST;
         - deduplication and leaf pruning only remove weight;
         - float rounding, in the distances and in the summed costs, is
           relative to quantities below the budget and far under ``1e-9``
           of it.
 
         So every prefix tree costs at most ``2 * full.cost + margin``, and
-        when that is below ``budget - EPS_VAL`` no prefix stops the loop:
+        when that is below ``budget - EPS`` no prefix stops the loop:
         it would serve every eligible request along the tree over all of
         them, which is ``full``.  The certified service takes that result
         directly; otherwise the loop runs.  A larger margin only certifies
@@ -126,14 +125,11 @@ class DeadlineEngine(EngineCore):
         trigger = self.requests[qid]
         t = trigger.deadline
         a = self.position
-        alevel = self.adjusted_level_of(qid)
-        primary = alevel != self.levels[qid]
-        service_level = clamp_bottom(alevel, self.level_floor) + 3
+        primary = self.adjusted_level_of(qid) != self.levels[qid]
+        service_level = self.clamped_alevel(qid) + 3
         budget = 4.0 * 2.0**service_level
 
-        eligible = [
-            rid for rid in self.pending if level_le(self.adjusted_level_of(rid), service_level)
-        ]
+        eligible = self.eligible(service_level)
         eligible.sort(key=lambda rid: (self.requests[rid].deadline, rid))
         assert eligible and eligible[0] == qid
 
@@ -141,7 +137,7 @@ class DeadlineEngine(EngineCore):
         chosen = eligible
         tree = steiner_approx(space, {space.index[self.requests[rid].point] for rid in eligible})
         margin = certificate_margin(len(eligible), space.n, budget)
-        if 2.0 * tree.cost >= budget - config.EPS_VAL - margin:
+        if 2.0 * tree.cost >= budget - config.EPS - margin:
             chosen = []
             terminals: set[int] = set()
             tree = None
@@ -149,7 +145,7 @@ class DeadlineEngine(EngineCore):
                 chosen.append(rid)
                 terminals.add(space.index[self.requests[rid].point])
                 tree = steiner_approx(space, terminals, grow_from=tree)
-                if tree.cost >= budget - config.EPS_VAL:
+                if tree.cost >= budget - config.EPS:
                     break
 
         pts = space.points
@@ -188,15 +184,14 @@ def run_deadline(inst: Instance, request_regime: bool = False) -> DeadlineTrace:
     """Run the full event loop; every request is served by its deadline."""
     if inst.mode != "deadline":
         raise ValueError("run_deadline needs a deadline-mode instance")
-    m = inst.metric  # read first: the normalised copy would build its own
-    inst = distinct_deadlines_normalize(inst)
-    engine = DeadlineEngine(m, inst.server_start, request_regime=request_regime)
+    engine = DeadlineEngine(inst.metric, inst.server_start, request_regime=request_regime)
+    requests = distinct_deadlines_normalize(inst)
     events: list[tuple[float, int, int]] = []
-    for q in inst.requests:
+    for q in requests:
         events.append((q.release, 0, q.id))
         events.append((q.deadline, 1, q.id))
     events.sort()
-    by_id = {q.id: q for q in inst.requests}
+    by_id = {q.id: q for q in requests}
     for _, kind, qid in events:
         if kind == 0:
             engine.reveal(by_id[qid])

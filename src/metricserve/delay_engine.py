@@ -51,7 +51,6 @@ import numpy as np
 from . import config
 from .engine import EngineCore, requests_doc
 from .instance import DelayRequest, Instance
-from .levels import BOTTOM, clamp_bottom, level_le
 from .metric import MetricSpace, NumericRangeError
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
@@ -150,9 +149,6 @@ class DelayEngine(EngineCore):
         y = self.requests[qid].delay.value(t)
         return max(y - self.counters[qid], 0.0)
 
-    def clamped_alevel(self, qid: int) -> int:
-        return clamp_bottom(self.adjusted_level_of(qid), self.level_floor)
-
     def total_residual(self, level: int, t: float) -> float:
         return math.fsum(
             self.residual(qid, t)
@@ -166,12 +162,12 @@ class DelayEngine(EngineCore):
             return None
         shares = [(self.clamped_alevel(qid), self.residual(qid, t)) for qid in self.pending]
         total = math.fsum(r for _, r in shares)
-        if total <= config.EPS_VAL:
+        if total <= config.EPS:
             return None
         cap = max(max(lv for lv, _ in shares), math.ceil(math.log2(total)) + 1)
         for level in range(cap, self.level_floor - 1, -1):
             # the same sum as total_residual(level, t)
-            if math.fsum(r for lv, r in shares if lv <= level) >= 2.0**level - config.EPS_VAL:
+            if math.fsum(r for lv, r in shares if lv <= level) >= 2.0**level - config.EPS:
                 return level
         return None
 
@@ -187,16 +183,7 @@ class DelayEngine(EngineCore):
         """
         if not self.pending:
             return None
-        cuts: set[float] = set()
-        for qid in self.pending:
-            fn = self.requests[qid].delay
-            for bp_t, _ in fn.breakpoints:
-                if from_t < bp_t < until:
-                    cuts.add(bp_t)
-            tc = fn.first_time_at_least(self.counters[qid])
-            if from_t < tc < until:
-                cuts.add(tc)
-        boundaries = sorted(cuts) + [until]
+        boundaries = sorted(self._kinks(self.pending, from_t, until)) + [until]
         s0 = from_t
         for s1 in boundaries:
             t_star = self._segment_crossing(s0, s1)
@@ -219,7 +206,7 @@ class DelayEngine(EngineCore):
             fn = self.requests[qid].delay
             y0 = fn.value(s0)
             ctr = self.counters[qid]
-            if y0 >= ctr - config.EPS_VAL:
+            if y0 >= ctr - config.EPS:
                 val = max(y0 - ctr, 0.0)
                 slope = fn.slope_at(s0)
             else:
@@ -234,13 +221,13 @@ class DelayEngine(EngineCore):
             acc_v += dv
             acc_s += ds
             threshold = 2.0**lv
-            if acc_v >= threshold - config.EPS_VAL:
+            if acc_v >= threshold - config.EPS:
                 cand = s0
             elif acc_s > 0:
                 cand = s0 + (threshold - acc_v) / acc_s
             else:
                 continue
-            if cand <= s1 + config.EPS_TIME and (best is None or cand < best):
+            if cand <= s1 + config.EPS and (best is None or cand < best):
                 best = cand
         return best
 
@@ -259,14 +246,12 @@ class DelayEngine(EngineCore):
             qid
             for qid in self.pending
             if self.clamped_alevel(qid) <= critical_level
-            and self.residual(qid, t) > config.EPS_VAL
+            and self.residual(qid, t) > config.EPS
         )
-        assert triggers, "a critical level implies positive residual below it"
+        if not triggers:
+            raise NumericRangeError(f"no trigger at t={t!r} for critical level {critical_level}")
         trigger_residuals = {qid: self.residual(qid, t) for qid in triggers}
-        primary = all(
-            self.levels[qid] is BOTTOM or self.levels[qid] < service_level - 4
-            for qid in triggers
-        )
+        primary = all(self.levels[qid] < service_level - 4 for qid in triggers)
 
         space = self.space()
         pts = space.points
@@ -282,43 +267,28 @@ class DelayEngine(EngineCore):
             min_dist = 2.0 ** (service_level - 5) - 2.0 ** (service_level - 8)
             trigger_points = [self.requests[qid].point for qid in triggers]
             shares = [trigger_residuals[qid] for qid in triggers]
-            far = self.m.dist[a, pts] >= min_dist - config.EPS_GEO
-            near = self.m.dist[np.ix_(pts, trigger_points)] <= ball_r + config.EPS_GEO
+            far = self.m.dist[a, pts] >= min_dist - config.EPS
+            near = self.m.dist[np.ix_(pts, trigger_points)] <= ball_r + config.EPS
             best_mass = need
             # a ball holding no trigger has mass 0.0, below need
             for i in np.flatnonzero(far & near.any(axis=1)):
                 mass = math.fsum(compress(shares, near[i]))
-                if mass > best_mass + config.EPS_VAL:
+                if mass > best_mass + config.EPS:
                     best_mass = mass
                     relocation = pts[i]
 
-        eligible = sorted(
-            qid for qid in self.pending if level_le(self.adjusted_level_of(qid), service_level)
-        )
+        eligible = sorted(self.eligible(service_level))
         eligible_ctr_before = {qid: self.counters[qid] for qid in eligible}
         counter_increments: dict[int, float] = {}
-        reset_increment = 0.0
-        for qid in eligible:
-            inc = max(0.0, self.requests[qid].delay.value(t) - self.counters[qid])
-            if inc > 0:
-                self.counters[qid] += inc
-                counter_increments[qid] = counter_increments.get(qid, 0.0) + inc
-                reset_increment += inc
+        reset_increment = self._raise_counters(eligible, t, counter_increments)
 
         tau, solution = self._forwarding_time(space, eligible, a, budget, t)
         served_points = {pts[i] for i in solution.served}
         served = [qid for qid in eligible if self.requests[qid].point in served_points]
-
-        invest_increment = 0.0
-        for qid in eligible:
-            if qid in served:
-                continue
-            assert math.isfinite(tau), "an infinite forwarding time serves everything"
-            inc = max(0.0, self.requests[qid].delay.value(tau) - self.counters[qid])
-            if inc > 0:
-                self.counters[qid] += inc
-                counter_increments[qid] = counter_increments.get(qid, 0.0) + inc
-                invest_increment += inc
+        unserved = [qid for qid in eligible if qid not in served]
+        assert not unserved or math.isfinite(tau), "an infinite forwarding time serves everything"
+        invest_increment = self._raise_counters(unserved, tau, counter_increments)
+        for qid in unserved:
             self.upgrade(qid, service_level + 1)
 
         tour = tree_dfs_nodes([(pts[u], pts[v]) for u, v in solution.tree_edges], a)
@@ -358,6 +328,32 @@ class DelayEngine(EngineCore):
 
     # -- internals ------------------------------------------------------------
 
+    def _kinks(self, qids, lo: float, hi: float) -> set[float]:
+        """Delay breakpoints and counter crossings of ``qids`` inside (lo, hi),
+        between which every residual is linear in time."""
+        cuts: set[float] = set()
+        for qid in qids:
+            fn = self.requests[qid].delay
+            for bp_t, _ in fn.breakpoints:
+                if lo < bp_t < hi:
+                    cuts.add(bp_t)
+            tc = fn.first_time_at_least(self.counters[qid])
+            if lo < tc < hi:
+                cuts.add(tc)
+        return cuts
+
+    def _raise_counters(self, qids, t: float, increments: dict[int, float]) -> float:
+        """Raise each counter of ``qids`` to its delay at ``t``; add the raises
+        to ``increments`` and return their sum."""
+        total = 0.0
+        for qid in qids:
+            inc = max(0.0, self.requests[qid].delay.value(t) - self.counters[qid])
+            if inc > 0:
+                self.counters[qid] += inc
+                increments[qid] = increments.get(qid, 0.0) + inc
+                total += inc
+        return total
+
     def _forwarding_time(
         self, space: MetricSpace, eligible: list[int], root: int, budget: float, t: float
     ):
@@ -380,23 +376,23 @@ class DelayEngine(EngineCore):
         The margin ``certificate_margin(len(by_node), space.n, budget)``
         covers the three ways the code departs from the exact argument:
 
-        - a component is active only while its surplus exceeds ``EPS_VAL``,
+        - a component is active only while its surplus exceeds ``EPS``,
           so each maximal inactive set not containing the root may leave up
-          to ``EPS_VAL`` of its penalty unpaid; these sets are disjoint and
-          each holds a terminal, so at most ``len(by_node) * EPS_VAL``;
+          to ``EPS`` of its penalty unpaid; these sets are disjoint and
+          each holds a terminal, so at most ``len(by_node) * EPS``;
         - strong pruning keeps a subtree only when its benefit exceeds the
-          edge by more than ``EPS_VAL``, so by induction over the tree it
-          loses at most ``EPS_VAL`` per forest edge, ``(space.n - 1) *
-          EPS_VAL`` in all;
+          edge by more than ``EPS``, so by induction over the tree it
+          loses at most ``EPS`` per forest edge, ``(space.n - 1) *
+          EPS`` in all;
         - float rounding, in the moat depths, in the surpluses (one runs
           out only where the duals paid it, and they sum to at most
           OPT(t')), in the ``1e-15`` event tie rule and in the final sums,
           is relative to quantities below the budget and far under ``1e-9``
-          of it; the spare ``2 * EPS_VAL`` absorbs absolute rounding at
+          of it; the spare ``2 * EPS`` absorbs absolute rounding at
           small scales.
 
         So every probe costs at most ``2 * final.tree_cost + margin``, and
-        when that is below ``budget - EPS_VAL`` no probe can reach the
+        when that is below ``budget - EPS`` no probe can reach the
         budget: the scan below would solve every probe, find no crossing and
         end at ``evaluate(t_big)``.  The certified search returns that
         solution at once, so its result is the same.  A larger margin only
@@ -434,30 +430,19 @@ class DelayEngine(EngineCore):
         serves_all = set(by_node) <= final.served
         probes: list[float] = []  # none when the certificate holds
         margin = certificate_margin(len(by_node), space.n, budget)
-        if not serves_all or 2.0 * final.tree_cost >= budget - config.EPS_VAL - margin:
-            cuts = {
-                bp_t
-                for qid in eligible
-                for bp_t, _ in self.requests[qid].delay.breakpoints
-                if t < bp_t < t_big
-            }
-            for qid in eligible:
-                # counters invested past the current delay kink the penalty there
-                tc = self.requests[qid].delay.first_time_at_least(self.counters[qid])
-                if t < tc < t_big:
-                    cuts.add(tc)
-            probes = [t, *sorted(cuts), t_big]
+        if not serves_all or 2.0 * final.tree_cost >= budget - config.EPS - margin:
+            probes = [t, *sorted(self._kinks(eligible, t, t_big)), t_big]
         lo = t
         for hi in probes:
-            if evaluate(hi).total_cost >= budget - config.EPS_VAL:
+            if evaluate(hi).total_cost >= budget - config.EPS:
                 break
             lo = hi
         else:
             assert serves_all, "past the probe horizon an unserved terminal forces a crossing"
             return math.inf, final
-        while hi - lo > config.EPS_TIME:
+        while hi - lo > config.EPS:
             mid = 0.5 * (lo + hi)
-            if evaluate(mid).total_cost >= budget - config.EPS_VAL:
+            if evaluate(mid).total_cost >= budget - config.EPS:
                 hi = mid
             else:
                 lo = mid
@@ -475,14 +460,12 @@ def run_delay(
     """
     if inst.mode != "delay":
         raise ValueError("run_delay needs a delay-mode instance")
-    m = inst.metric
-    engine = DelayEngine(m, inst.server_start, request_regime=request_regime)
+    engine = DelayEngine(inst.metric, inst.server_start, request_regime=request_regime)
     limit = math.inf if horizon is None else horizon
     releases = sorted(inst.requests, key=lambda q: (q.release, q.id))
     idx = 0
     t = -math.inf
     guard = 200 * (len(inst.requests) + 1)
-    exhausted = False
     while True:
         guard -= 1
         if guard < 0:
@@ -491,32 +474,28 @@ def run_delay(
             guard -= 1
             if guard < 0:
                 raise RuntimeError("service cascade failed to terminate")
-            level = engine.max_critical_level(t) if t > -math.inf else None
+            level = engine.max_critical_level(t)
             if level is None:
                 break
             engine.upon_critical(level, t)
         next_release = releases[idx].release if idx < len(releases) else math.inf
+        release_due = idx < len(releases) and next_release <= limit
         until = min(next_release, limit)
         event = engine.next_critical_event(t, until) if engine.pending else None
-        if event is not None and event.time < next_release - config.EPS_TIME:
+        # a crossing lies at most EPS past until <= limit: inside the horizon
+        if event is not None and (event.time < next_release - config.EPS or not release_due):
             t = event.time
             engine.upon_critical(event.level, t)
-            continue
-        if next_release <= limit and idx < len(releases):
+        elif release_due:
             # releases first at equal timestamps; a tied crossing fires as a
             # cascade right after the reveal
             t = next_release
-            while idx < len(releases) and releases[idx].release <= t + config.EPS_TIME:
+            while idx < len(releases) and releases[idx].release <= t + config.EPS:
                 engine.reveal(releases[idx])
                 idx += 1
-            continue
-        if event is not None and event.time <= limit + config.EPS_TIME:
-            t = event.time
-            engine.upon_critical(event.level, t)
-            continue
-        if engine.pending or idx < len(releases):
-            exhausted = True
-        break
+        else:
+            exhausted = bool(engine.pending) or idx < len(releases)
+            break
     movement = math.fsum(r.movement_cost for r in engine.records)
     counter_total = math.fsum(
         r.reset_increment + r.invest_increment for r in engine.records

@@ -2,10 +2,11 @@
 
 Both follow one level discipline: a request is revealed at level bottom,
 its adjusted level is ``max(level, ceil(log2 d(server, point)))``, and a
-service marks the requests it serves while the engine upgrades the rest.
-Adjusted levels are memoised.  One changes only when the server moves or
-the request's level is upgraded, so both engines make those two writes
-through ``move_to`` and ``upgrade``, the only places the memo is cleared.
+service at level L serves some of the requests ``eligible(L)`` returns
+while the engine upgrades the rest.  Adjusted levels are memoised.  One
+changes only when the server moves or the request's level is upgraded,
+so both engines make those two writes through ``move_to`` and
+``upgrade``, the only places the memo is cleared.
 
 Under the request regime services build their trees (and the delay engine
 picks relocation centers) in the metric closure over released points:
@@ -19,12 +20,10 @@ releases in time order, so decisions cannot depend on the future.
 from __future__ import annotations
 
 from .instance import DeadlineRequest, DelayRequest
-from .levels import BOTTOM, Level, adjusted_level, min_level
+from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, min_level
 from .metric import MetricSpace, complete_graph_on
 
 __all__ = ["EngineCore", "requests_doc"]
-
-_UNSET = object()  # not a Level: BOTTOM is None
 
 
 class EngineCore:
@@ -56,12 +55,20 @@ class EngineCore:
     def adjusted_level_of(self, qid: int) -> Level:
         """``max(level, ceil(log2 d(server, point)))``, memoised until
         ``move_to`` or ``upgrade`` clears it."""
-        alevel = self._alevels.get(qid, _UNSET)
-        if alevel is _UNSET:  # a miss raises no exception: most are after a move
+        alevel = self._alevels.get(qid)
+        if alevel is None:  # a miss raises no exception: most are after a move
             q = self.requests[qid]
             alevel = adjusted_level(self.levels[qid], self.m.distance(self.position, q.point))
             self._alevels[qid] = alevel
         return alevel
+
+    def clamped_alevel(self, qid: int) -> int:
+        """The adjusted level with BOTTOM clamped to the metric floor."""
+        return clamp_bottom(self.adjusted_level_of(qid), self.level_floor)
+
+    def eligible(self, level: int) -> list[int]:
+        """Pending requests whose adjusted level is at most ``level``."""
+        return [qid for qid in self.pending if self.adjusted_level_of(qid) <= level]
 
     def move_to(self, point: int) -> None:
         """Move the server; every adjusted level may change."""

@@ -104,7 +104,7 @@ class DelayFunction:
     def value(self, t: float) -> float:
         """y(t); requires t >= release up to tolerance."""
         times = self._times
-        if t < times[0] - config.EPS_TIME:
+        if t < times[0] - config.EPS:
             raise ValueError(f"delay evaluated at {t} before release {times[0]}")
         t = max(t, times[0])
         i = bisect.bisect_right(times, t) - 1
@@ -148,7 +148,7 @@ class DelayRequest:
     def __post_init__(self):
         if not abs(self.release) <= _FLOAT_MAX:
             raise InstanceFormatError(f"request {self.id}: release must be finite")
-        if abs(self.delay.release - self.release) > config.EPS_TIME:
+        if abs(self.delay.release - self.release) > config.EPS:
             raise InstanceFormatError(
                 f"request {self.id}: delay curve starts at {self.delay.release}, "
                 f"release is {self.release}"
@@ -500,23 +500,23 @@ def delay_certification_chain(far_slope: float = 0.5) -> Instance:
     return Instance(graph=graph, server_start=0, mode="delay", requests=tuple(requests))
 
 
-def distinct_deadlines_normalize(inst: Instance) -> Instance:
-    """Break deadline ties by id order with offsets below eps/|Q|.
+def distinct_deadlines_normalize(inst: Instance) -> tuple[DeadlineRequest, ...]:
+    """The requests with deadline ties broken by id order, offsets below eps/|Q|.
 
     Within a tied group the lower id keeps the original deadline and each
     subsequent member moves later by one offset step, so release <=
-    deadline is preserved.  No-op when deadlines are already distinct.
+    deadline is preserved.  Without ties this is ``inst.requests`` itself.
     """
     if inst.mode != "deadline":
         raise ValueError("deadline normalization applies to deadline instances")
     if not inst.requests:
-        return inst
-    step = config.EPS_TIME / (len(inst.requests) + 1)
+        return inst.requests
+    step = config.EPS / (len(inst.requests) + 1)
     groups: dict[float, list[DeadlineRequest]] = {}
     for q in inst.requests:
         groups.setdefault(q.deadline, []).append(q)
     if all(len(g) == 1 for g in groups.values()):
-        return inst
+        return inst.requests
     replaced = {}
     for deadline, group in groups.items():
         for k, q in enumerate(sorted(group, key=lambda r: r.id)):
@@ -524,10 +524,4 @@ def distinct_deadlines_normalize(inst: Instance) -> Instance:
                 replaced[q.id] = DeadlineRequest(
                     id=q.id, point=q.point, release=q.release, deadline=deadline + k * step
                 )
-    new_requests = tuple(replaced.get(q.id, q) for q in inst.requests)
-    return Instance(
-        graph=inst.graph,
-        server_start=inst.server_start,
-        mode=inst.mode,
-        requests=new_requests,
-    )
+    return tuple(replaced.get(q.id, q) for q in inst.requests)

@@ -1,10 +1,10 @@
 """Integer levels with a bottom element.
 
 Request and service levels are integers, except for the initial level of
-a fresh request which is unbounded below.  ``BOTTOM`` (``None``) plays
-that role: it compares below every integer and is clamped to a
-metric-dependent floor before entering arithmetic, so that budgets of
-the form ``2**level`` stay positive.
+a fresh request which is unbounded below.  ``BOTTOM`` (``-math.inf``)
+plays that role: ``<=`` and ``max`` already order it below every integer,
+and it is clamped to a metric-dependent floor before entering
+arithmetic, so that budgets of the form ``2**level`` stay positive.
 """
 
 import math
@@ -12,23 +12,10 @@ import math
 from . import config
 from .metric import MetricSpace
 
-#: Sentinel for the unbounded-below initial level.
-BOTTOM = None
+#: The unbounded-below initial level.
+BOTTOM = -math.inf
 
-Level = int | None
-
-
-def level_le(a: Level, b: Level) -> bool:
-    """a <= b with BOTTOM below every integer."""
-    if a is BOTTOM:
-        return True
-    if b is BOTTOM:
-        return False
-    return a <= b
-
-
-def level_max(a: Level, b: Level) -> Level:
-    return b if level_le(a, b) else a
+Level = int | float
 
 
 def ceil_log2(x: float) -> int:
@@ -37,7 +24,7 @@ def ceil_log2(x: float) -> int:
     Requires x > 0.  A value within eps below an exact power of two is
     treated as that power (so ceil_log2(4 + 1e-15) == 2).
     """
-    eps = config.EPS_GEO
+    eps = config.EPS
     if x <= 0:
         raise ValueError(f"ceil_log2 requires a positive argument, got {x}")
     k = math.ceil(math.log2(x))
@@ -50,7 +37,7 @@ def ceil_log2(x: float) -> int:
 
 def floor_log2(x: float) -> int:
     """Largest integer k with 2**k <= x, robust to eps-sized noise."""
-    eps = config.EPS_GEO
+    eps = config.EPS
     if x <= 0:
         raise ValueError(f"floor_log2 requires a positive argument, got {x}")
     k = math.floor(math.log2(x))
@@ -66,18 +53,12 @@ def min_level(m: MetricSpace) -> int:
     return floor_log2(m.d_min) - 1
 
 
-def distance_level(dist: float) -> Level:
-    """The distance term of an adjusted level: ceil(log2 dist), BOTTOM at 0."""
-    if dist <= config.EPS_GEO:
-        return BOTTOM
-    return ceil_log2(dist)
-
-
 def adjusted_level(level: Level, dist: float) -> Level:
-    """max(level, ceil(log2 dist)) with the zero-distance degenerate rule."""
-    return level_max(level, distance_level(dist))
+    """max(level, ceil(log2 dist)); a distance within ``EPS`` of 0 adds nothing."""
+    return level if dist <= config.EPS else max(level, ceil_log2(dist))
 
 
 def clamp_bottom(level: Level, floor: int) -> int:
-    """Replace BOTTOM by the metric floor before arithmetic."""
+    """Replace BOTTOM by the metric floor before arithmetic.  Not ``max(level,
+    floor)``: a level set by a distance just above ``EPS`` may lie below it."""
     return floor if level is BOTTOM else level

@@ -57,7 +57,8 @@ class DisconnectedGraphError(ValueError):
 class NumericRangeError(ArithmeticError):
     """The instance's numbers lie outside the range the engines resolve: a
     distance overflows, a path sum drifts from its distance by more than
-    ``EPS_GEO``, or a delay threshold crossing fails once residuals are summed."""
+    ``EPS``, or a delay threshold crossing fails once residuals are summed
+    or leaves no request with residual above ``EPS`` to trigger it."""
 
 
 EdgeSet = frozenset[tuple[int, int]]
@@ -73,11 +74,14 @@ class WeightedGraph:
     def __post_init__(self):
         if self.node_count <= 0:
             raise ValueError("node_count must be positive")
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v), float(w)) for u, v, w in self.edges)
-        )
+        edges = []
         seen = set()
         for u, v, w in self.edges:
+            u, v = int(u), int(v)
+            try:
+                w = float(w)
+            except OverflowError:  # an int too large for a float
+                w = math.inf
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
@@ -88,6 +92,8 @@ class WeightedGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge between {u} and {v}")
             seen.add(key)
+            edges.append((u, v, w))
+        object.__setattr__(self, "edges", tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -193,8 +199,8 @@ class MetricSpace:
         """Greedy: at each node take the smallest-id neighbor that keeps the
         remaining distance exact.  Deterministic, so traced walks and tree
         expansions are reproducible.  Raises ``NumericRangeError`` when no
-        neighbor is within ``EPS_GEO``, which exact arithmetic rules out."""
-        eps = config.EPS_GEO
+        neighbor is within ``EPS``, which exact arithmetic rules out."""
+        eps = config.EPS
         view = self.dist_view
         hops = []
         cur = u
@@ -269,7 +275,7 @@ def ball_points(m: MetricSpace, v: int, r: float) -> frozenset[int]:
     if r < 0:
         raise ValueError("radius must be nonnegative")
     row = m.dist[v]
-    return frozenset(int(u) for u in np.nonzero(row <= r + config.EPS_GEO)[0])
+    return frozenset(int(u) for u in np.nonzero(row <= r + config.EPS)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +284,7 @@ def ball_points(m: MetricSpace, v: int, r: float) -> frozenset[int]:
 
 
 def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    eps = config.EPS_GEO
+    eps = config.EPS
     out: list[tuple[float, float]] = []
     for lo, hi in sorted(intervals):
         if hi - lo <= 0:
@@ -328,7 +334,7 @@ def _ball_claim(
     m: MetricSpace, u: int, x: int, w: float, v: int, r: float
 ) -> list[tuple[float, float]]:
     """Endpoint-rule claim of Ball(v, r) on edge (u, x)."""
-    eps = config.EPS_GEO
+    eps = config.EPS
     du, dx = m.distance(v, u), m.distance(v, x)
     u_in, x_in = du <= r + eps, dx <= r + eps
     if u_in and x_in:
@@ -373,12 +379,12 @@ def perforation_gap_bound_check(
     """measure(ball) <= measure(perforated ball) + 2 r n^2 / rho."""
     ball = shape_edge_measure(m, edges, Ball(v, r))
     perf = shape_edge_measure(m, edges, PerforatedBall(v, r, rho))
-    return ball <= perf + 2.0 * r * m.n**2 / rho + config.EPS_GEO
+    return ball <= perf + 2.0 * r * m.n**2 / rho + config.EPS
 
 
 def shapes_edge_disjoint(m: MetricSpace, a: Shape, b: Shape) -> bool:
     """Whether the two shapes claim disjoint edge parts on every graph edge."""
-    eps = config.EPS_GEO
+    eps = config.EPS
     for u, x in m.edges:
         w = m.edge_weight(u, x)
         ia = edge_intervals_in_shape(m, u, x, w, a)

@@ -47,7 +47,7 @@ whatever came before it and nothing after displaces it.  A target with
 a closer rival is replayed by the scalar rule.  A new state takes its
 place at its target's first finite candidate, where the scalar loop
 creates it; a candidate of infinite cost (a request released within
-``EPS_TIME`` after the event) creates nothing.
+``EPS`` after the event) creates nothing.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class OptTrace:
         """Server position after all events with time <= t."""
         pos = self.start
         for ev in self.events:
-            if ev.time <= t + config.EPS_TIME:
+            if ev.time <= t + config.EPS:
                 pos = ev.walk[-1] if ev.walk else pos
             else:
                 break
@@ -127,7 +127,7 @@ def opt_edges_during(trace: OptTrace, t1: float, t2: float) -> EdgeSet:
         raise ValueError("interval start exceeds its end")
     edges: set[tuple[int, int]] = set()
     for ev in trace.events:
-        if t1 - config.EPS_TIME <= ev.time <= t2 + config.EPS_TIME:
+        if t1 - config.EPS <= ev.time <= t2 + config.EPS:
             for u, v in zip(ev.walk, ev.walk[1:]):
                 if u != v:
                     edges.add((min(u, v), max(u, v)))
@@ -165,13 +165,13 @@ def opt_deadline(inst: Instance) -> OptTrace:
     # by popcount layer: cost[r] is masks[r]'s row; unreached masks (all inf) are left out
     parent = np.full((1 << k, k), -1, dtype=np.int8)
     # the first visit happens at max(release_i, -inf) = release_i
-    first = np.flatnonzero(release <= deadline + config.EPS_TIME)
+    first = np.flatnonzero(release <= deadline + config.EPS)
     masks = bit[first]
     cost = np.full((len(first), k), np.inf)
     cost[np.arange(len(first)), first] = m.dist[inst.server_start, point][first]
     for _ in range(1, k):
         ok = (masks[:, None] & bit) == 0
-        ok &= np.maximum(completion[masks][:, None], release) <= deadline + config.EPS_TIME
+        ok &= np.maximum(completion[masks][:, None], release) <= deadline + config.EPS
         row, nxt = np.nonzero(ok)
         best = np.full(len(row), np.inf)
         arg = np.full(len(row), -1, dtype=np.int8)
@@ -314,7 +314,7 @@ def opt_delay(inst: Instance) -> OptTrace:
     released_mask = [0] * n_ev
     for j, t in enumerate(events):
         for i, q in enumerate(reqs):
-            if q.release <= t + config.EPS_TIME:
+            if q.release <= t + config.EPS:
                 released_mask[j] |= 1 << i
     pts = sorted({q.point for q in reqs})
     starts = pts + [inst.server_start] * (inst.server_start not in pts)

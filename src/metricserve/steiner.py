@@ -139,7 +139,7 @@ def certificate_margin(n_terminals: int, n_nodes: int, scale: float) -> float:
     ``n_nodes`` nodes whose costs are at most ``scale``.  The engines'
     certificates rest on it: see ``DeadlineEngine.upon_deadline`` and
     ``DelayEngine._forwarding_time`` for what it covers."""
-    return (n_terminals + n_nodes + 1) * config.EPS_VAL + 1e-9 * scale
+    return (n_terminals + n_nodes + 1) * config.EPS + 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +459,7 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
     for t in terminals:
         if penalties.get(t, 0.0) < 0:
             raise ValueError("penalties must be nonnegative")
-    eps = config.EPS_VAL
+    eps = config.EPS
 
     # every node carries the id of its component's root; a merge relabels
     # the members of the absorbed root

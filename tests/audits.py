@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from metricserve.levels import BOTTOM, adjusted_level, clamp_bottom, min_level
+from metricserve.levels import BOTTOM, Level, adjusted_level, clamp_bottom, min_level
 
 
 def audit_deadline_trace(inst, trace, m) -> int:
@@ -18,7 +18,7 @@ def audit_deadline_trace(inst, trace, m) -> int:
     for q in inst.requests:
         t = trace.service_time[q.id]
         assert q.release - 1e-9 <= t <= q.deadline + 1e-9
-    levels: dict[int, int | None] = {q.id: BOTTOM for q in inst.requests}
+    levels: dict[int, Level] = {q.id: BOTTOM for q in inst.requests}
     for s in trace.services:
         for rid in s.eligible_ids:
             assert by_id[rid].release <= s.time + 1e-9

@@ -45,7 +45,7 @@ from metricserve.instance import (
     parse_instance,
     serialize_instance,
 )
-from metricserve.metric import WeightedGraph, build_metric
+from metricserve.metric import WeightedGraph
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -262,7 +262,7 @@ def render(command: str, instance: Path) -> str:
         inst = parse_instance(instance.read_text())
         trace = cli._run_trace(inst, request_regime=False, horizon=None)
         opt = None if oracle_free(instance) else cli._opt_trace(inst)
-        return charge_report(inst, build_metric(inst.graph), trace, opt).to_json()
+        return charge_report(inst, trace, opt).to_json()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "trace.json"
         argv = [*COMMANDS[command], "--instance", str(instance), "--trace", str(out)]

@@ -59,7 +59,7 @@ def shortest_path_reference(m: MetricSpace, u: int, v: int) -> list[int]:
     path, cur, remaining = [u], u, float(m.dist[u, v])
     while cur != v:
         for z, w in m.neighbors(cur):
-            if abs(w + float(m.dist[z, v]) - remaining) <= config.EPS_GEO:
+            if abs(w + float(m.dist[z, v]) - remaining) <= config.EPS:
                 path.append(z)
                 remaining -= w
                 cur = z
@@ -380,7 +380,7 @@ def opt_deadline_reference(inst: Instance) -> OptTrace:
     cost = [[INF] * k for _ in range(1 << k)]
     parent: list[list[int]] = [[-1] * k for _ in range(1 << k)]
     for i in range(k):
-        if release[i] <= deadline[i] + config.EPS_TIME:
+        if release[i] <= deadline[i] + config.EPS:
             cost[1 << i][i] = m.distance(inst.server_start, point[i])
     for mask in range(1, 1 << k):
         for last in range(k):
@@ -391,7 +391,7 @@ def opt_deadline_reference(inst: Instance) -> OptTrace:
             for nxt in range(k):
                 if mask & (1 << nxt):
                     continue
-                if max(t_done, release[nxt]) > deadline[nxt] + config.EPS_TIME:
+                if max(t_done, release[nxt]) > deadline[nxt] + config.EPS:
                     continue
                 nmask = mask | (1 << nxt)
                 nc = c + m.distance(point[last], point[nxt])
@@ -484,7 +484,7 @@ def opt_delay_reference(inst: Instance) -> OptTrace:
     released_mask = [0] * n_ev
     for j, t in enumerate(events):
         for i, q in enumerate(reqs):
-            if q.release <= t + config.EPS_TIME:
+            if q.release <= t + config.EPS:
                 released_mask[j] |= 1 << i
     walks = _BatchWalksReference(m)
     full = (1 << k) - 1

@@ -201,8 +201,8 @@ def test_criterion_7_cylinder_structure(deadline_suite, delay_suite):
     pairs = classes = 0
     for suite, mode in ((deadline_suite, "deadline"), (delay_suite, "delay")):
         for inst, m, trace in suite:
-            primary = build_primary_cylinders(inst, m, trace)
-            certified = build_certified_cylinders(inst, m, trace)
+            primary = build_primary_cylinders(inst, trace)
+            certified = build_certified_cylinders(inst, trace)
             for family, rho in (
                 (primary, default_rho_primary(m, mode)),
                 (certified, default_rho_certified(m)),
@@ -241,10 +241,9 @@ def test_criterion_8_charge_inequalities():
                 n_requests=rng.randint(1, 9),
                 mode="deadline",
             )
-        m = build_metric(inst.graph)
         trace = run_deadline(inst)
         opt = opt_deadline(inst)
-        report = charge_report(inst, m, trace, opt)
+        report = charge_report(inst, trace, opt)
         assert report.all_pass, (i, report.failures())
         for c in report.checks:
             kinds_seen[c.kind] = kinds_seen.get(c.kind, 0) + 1
@@ -259,10 +258,9 @@ def test_criterion_8_charge_inequalities():
                 n_requests=rng.randint(1, 5),
                 mode="delay",
             )
-        m = build_metric(inst.graph)
         trace = run_delay(inst)
         opt = opt_delay(inst)
-        report = charge_report(inst, m, trace, opt)
+        report = charge_report(inst, trace, opt)
         assert report.all_pass, (i, report.failures())
         for c in report.checks:
             kinds_seen[c.kind] = kinds_seen.get(c.kind, 0) + 1

@@ -92,13 +92,13 @@ def test_ptime_chains_between_same_level_certified():
     cls = classify(trace)
     assert sorted(cls.certified_ids) == [0, 2]
     assert trace.services[0].level == trace.services[2].level == 3
-    cyls = {c.service_id: c for c in build_certified_cylinders(inst, m, trace, cls)}
+    cyls = {c.service_id: c for c in build_certified_cylinders(inst, trace, cls)}
     first, second = cyls[0], cyls[2]
     assert first.t_start == -math.inf
     assert second.t_start == first.t_end == trace.services[0].forwarding_time
     assert cylinders_disjoint(m, first, second)
     opt = opt_deadline(inst)
-    report = charge_report(inst, m, trace, opt)
+    report = charge_report(inst, trace, opt)
     assert report.all_pass, report.failures()
 
 
@@ -106,10 +106,9 @@ def test_certification_star_charge_report():
     """The constructed chain exercises the certified-cylinder bound
     against the exact optimum."""
     inst = certification_star()
-    m = build_metric(inst.graph)
     trace = run_deadline(inst)
     opt = opt_deadline(inst)
-    report = charge_report(inst, m, trace, opt)
+    report = charge_report(inst, trace, opt)
     assert report.all_pass, report.failures()
     kinds = [c.kind for c in report.checks]
     assert "certified-intersection" in kinds
@@ -141,8 +140,7 @@ def test_certified_once_on_random_suite():
 def test_primary_cylinder_lone_request(path_graph):
     inst = _deadline_instance(path_graph, 0, [(0, 2, 0.0, 10.0)])
     trace = run_deadline(inst)
-    m = build_metric(inst.graph)
-    cyls = build_primary_cylinders(inst, m, trace)
+    cyls = build_primary_cylinders(inst, trace)
     assert len(cyls) == 1
     cyl = cyls[0]
     assert cyl.shape == Ball(0, 2.0**3)
@@ -153,9 +151,8 @@ def test_primary_cylinder_lone_request(path_graph):
 def test_no_primary_no_cylinders(path_graph):
     inst = _deadline_instance(path_graph, 1, [(0, 1, 0.0, 5.0)])
     trace = run_deadline(inst)
-    m = build_metric(inst.graph)
-    assert build_primary_cylinders(inst, m, trace) == []
-    assert build_certified_cylinders(inst, m, trace) == []
+    assert build_primary_cylinders(inst, trace) == []
+    assert build_certified_cylinders(inst, trace) == []
 
 
 def test_per_level_disjointness_random_suite():
@@ -171,8 +168,8 @@ def test_per_level_disjointness_random_suite():
         m = build_metric(inst.graph)
         trace = run_deadline(inst) if mode == "deadline" else run_delay(inst)
         for family in (
-            build_primary_cylinders(inst, m, trace),
-            build_certified_cylinders(inst, m, trace),
+            build_primary_cylinders(inst, trace),
+            build_certified_cylinders(inst, trace),
         ):
             by_level = {}
             for cyl in family:
@@ -224,10 +221,9 @@ def test_charge_report_deadline_clean():
             n_requests=rng.randint(1, 7),
             mode="deadline",
         )
-        m = build_metric(inst.graph)
         trace = run_deadline(inst)
         opt = opt_deadline(inst)
-        report = charge_report(inst, m, trace, opt)
+        report = charge_report(inst, trace, opt)
         assert report.all_pass, report.failures()
         seen_far += sum(1 for c in report.checks if c.kind == "far-primary-intersection")
     assert seen_far > 0  # the suite must actually exercise the bound
@@ -243,10 +239,9 @@ def test_charge_report_delay_clean():
             n_requests=rng.randint(1, 5),
             mode="delay",
         )
-        m = build_metric(inst.graph)
         trace = run_delay(inst)
         opt = opt_delay(inst)
-        report = charge_report(inst, m, trace, opt)
+        report = charge_report(inst, trace, opt)
         assert report.all_pass, report.failures()
         exercised += sum(
             1 for c in report.checks if c.kind == "primary-intersection-plus-pdchg"
@@ -256,9 +251,8 @@ def test_charge_report_delay_clean():
 
 def test_charge_report_without_opt_is_structural_only():
     inst = generate(seed=4, n_points=6, n_requests=5, mode="deadline")
-    m = build_metric(inst.graph)
     trace = run_deadline(inst)
-    report = charge_report(inst, m, trace)
+    report = charge_report(inst, trace)
     kinds = {c.kind for c in report.checks}
     assert not any("intersection" in k for k in kinds)
     assert report.all_pass
@@ -274,8 +268,7 @@ def test_default_rho_values():
 
 def test_report_json():
     inst = generate(seed=8, n_points=5, n_requests=4, mode="deadline")
-    m = build_metric(inst.graph)
     trace = run_deadline(inst)
-    report = charge_report(inst, m, trace, opt_deadline(inst))
+    report = charge_report(inst, trace, opt_deadline(inst))
     doc = report.to_json()
     assert '"all_pass": true' in doc

@@ -383,9 +383,23 @@ def _huge_weights():
     return replace(inst, graph=replace(g, edges=tuple((u, v, w * 1e6) for u, v, w in g.edges)))
 
 
+def _tiny_delay():
+    """A delay instance with weights, delay values and final slopes scaled
+    by 2**-30 and times unchanged: the residuals of a critical level all
+    lie within the absolute tolerance, so no request triggers it."""
+    inst = generate(seed=0, n_points=8, n_requests=8, mode="delay")
+    scale = 2.0**-30
+    g = replace(inst.graph, edges=tuple((u, v, w * scale) for u, v, w in inst.graph.edges))
+    return replace(inst, graph=g, requests=tuple(
+        replace(q, delay=DelayFunction(tuple((t, y * scale) for t, y in q.delay.breakpoints),
+                                       q.delay.final_slope * scale))
+        for q in inst.requests
+    ))
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "report"])
 @pytest.mark.parametrize("build", [_huge_slopes, _alternating_releases, _shifted_star,
-                                   _huge_weights])
+                                   _huge_weights, _tiny_delay])
 def test_out_of_range_delay_instance_exit_2(tmp_path, capsys, command, build):
     """Numbers the engines' absolute tolerances cannot resolve are an input
     error, not a traceback, in either mode: ``_huge_weights`` is a
@@ -394,3 +408,13 @@ def test_out_of_range_delay_instance_exit_2(tmp_path, capsys, command, build):
     path.write_text(serialize_instance(build()))
     _input_error(capsys, _instance_argv(command, path, tmp_path),
                  "outside the numeric range the engine resolves")
+
+
+def test_opt_resolves_tiny_delay_instance(tmp_path, capsys):
+    """The exact oracle has no critical levels, so ``opt`` still answers on
+    the instance the engine refuses; scale-equivariant runs are open work."""
+    path = tmp_path / "tiny.json"
+    path.write_text(serialize_instance(_tiny_delay()))
+    code, out = _run(capsys, ["opt", "--instance", str(path)])
+    assert code == 0
+    assert 0 < json.loads(out)["total_cost"] < 1e-6

@@ -7,7 +7,7 @@ import pytest
 
 from metricserve.deadline_engine import DeadlineEngine, run_deadline
 from metricserve.instance import DeadlineRequest, Instance, generate
-from metricserve.levels import BOTTOM, adjusted_level, ceil_log2, min_level
+from metricserve.levels import BOTTOM, Level, adjusted_level, ceil_log2, min_level
 from metricserve.metric import build_metric
 
 
@@ -91,7 +91,7 @@ def _audit_trace(inst, trace, m):
     for q in inst.requests:
         t = trace.service_time[q.id]
         assert q.release - 1e-9 <= t <= q.deadline + 1e-9
-    levels: dict[int, int | None] = {q.id: BOTTOM for q in inst.requests}
+    levels: dict[int, Level] = {q.id: BOTTOM for q in inst.requests}
     for s in trace.services:
         # no peeking: everything the service touched was released by then
         for rid in s.eligible_ids:
@@ -336,7 +336,7 @@ def test_certified_service_makes_one_steiner_call(monkeypatch):
         s = d["record"]
         budget = 4.0 * 2.0**s.level
         margin = certificate_margin(len(s.eligible_ids), d["n"], budget)
-        if 2.0 * d["costs"][0] < budget - config.EPS_VAL - margin:
+        if 2.0 * d["costs"][0] < budget - config.EPS - margin:
             kinds["certified"] += 1
             assert len(d["costs"]) == 1 and s.served_ids == s.eligible_ids
         else:

@@ -190,6 +190,26 @@ def test_horizon_exhaustion_flagged(unit_edge_graph):
     assert trace.pending_ids == (0,)
 
 
+def test_crossing_within_eps_of_a_release_past_the_horizon(unit_edge_graph):
+    """Request 0 becomes critical at t = 8, and request 1 is released
+    5e-10 later, inside the release tolerance.  When that release lies past
+    the horizon, the crossing still fires at t = 8 and request 1 stays
+    pending; without a horizon the release comes first and one service at
+    its time serves both."""
+    release = 8.0 + 5e-10
+    inst = _delay_instance(unit_edge_graph, 0, [
+        _slope_request(0, 0, 0.0, 0.0625), _slope_request(1, 0, release, 1.0)
+    ])
+    trace = run_delay(inst, horizon=8.0 + 2e-10)
+    assert [(s.time, s.served_ids) for s in trace.services] == [(8.0, (0,))]
+    assert trace.pending_ids == (1,)
+    assert trace.horizon_exhausted
+    trace = run_delay(inst)
+    assert [(s.time, s.served_ids) for s in trace.services] == [(release, (0, 1))]
+    assert trace.total_cost == 0.50000000003125
+    assert not trace.horizon_exhausted
+
+
 def test_non_primary_trigger_blocks_relocation_search():
     """A trigger whose level sits at service level - 4 makes the service
     non-primary, so no relocation happens even with concentrated delay."""
@@ -226,14 +246,14 @@ def test_relocation_matches_scalar_search():
             min_dist = 2.0 ** (s.level - 5) - 2.0 ** (s.level - 8)
             want = None
             for v in range(m.n):
-                if m.distance(a, v) < min_dist - config.EPS_GEO:
+                if m.distance(a, v) < min_dist - config.EPS:
                     continue
                 mass = math.fsum(
                     s.trigger_residuals[qid]
                     for qid in s.trigger_ids
-                    if m.distance(v, point[qid]) <= ball_r + config.EPS_GEO
+                    if m.distance(v, point[qid]) <= ball_r + config.EPS
                 )
-                if mass > best_mass + config.EPS_VAL:
+                if mass > best_mass + config.EPS:
                     best_mass, want = mass, v
             assert s.relocation_target == want
             relocations += want is not None
@@ -477,7 +497,7 @@ def test_certified_search_solves_once(monkeypatch):
         margin = certificate_margin(len(rec["terminals"]), rec["n"], rec["budget"])
         return (
             rec["terminals"] <= horizon.served
-            and 2.0 * horizon.tree_cost < rec["budget"] - config.EPS_VAL - margin
+            and 2.0 * horizon.tree_cost < rec["budget"] - config.EPS - margin
         )
 
     star = investment_star(120)

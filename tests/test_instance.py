@@ -243,7 +243,7 @@ def test_non_finite_numbers_refused_in_memory(build, x):
 
 def test_normalize_no_ties_is_identity():
     inst = generate(seed=9, n_points=5, n_requests=6, mode="deadline")
-    assert distinct_deadlines_normalize(inst) is inst
+    assert distinct_deadlines_normalize(inst) is inst.requests
 
 
 def test_normalize_breaks_tie_by_id():
@@ -254,7 +254,7 @@ def test_normalize_breaks_tie_by_id():
     )
     inst = Instance(graph=g, server_start=0, mode="deadline", requests=reqs)
     normed = distinct_deadlines_normalize(inst)
-    by_id = {q.id: q for q in normed.requests}
+    by_id = {q.id: q for q in normed}
     assert by_id[2].deadline < by_id[5].deadline
     assert by_id[2].deadline == 4.0
 
@@ -279,9 +279,9 @@ def test_normalize_makes_deadlines_distinct():
             )
         inst = Instance(graph=g, server_start=0, mode="deadline", requests=tuple(reqs))
         normed = distinct_deadlines_normalize(inst)
-        deadlines = [q.deadline for q in normed.requests]
+        deadlines = [q.deadline for q in normed]
         assert len(set(deadlines)) == len(deadlines)
-        for q0, q1 in zip(inst.requests, normed.requests):
+        for q0, q1 in zip(inst.requests, normed):
             assert q1.release <= q1.deadline
             assert abs(q1.deadline - q0.deadline) < 1e-9
 

@@ -8,21 +8,19 @@ from metricserve.levels import (
     adjusted_level,
     ceil_log2,
     clamp_bottom,
-    distance_level,
     floor_log2,
-    level_le,
-    level_max,
 )
 
 
 def test_bottom_ordering():
-    assert level_le(BOTTOM, -100)
-    assert level_le(BOTTOM, BOTTOM)
-    assert not level_le(0, BOTTOM)
-    assert level_max(BOTTOM, 3) == 3
-    assert level_max(-5, BOTTOM) == -5
+    assert BOTTOM <= -100
+    assert BOTTOM <= BOTTOM
+    assert not 0 <= BOTTOM
+    assert max(BOTTOM, 3) == 3
+    assert max(-5, BOTTOM) == -5
     assert clamp_bottom(BOTTOM, -2) == -2
     assert clamp_bottom(7, -2) == 7
+    assert clamp_bottom(-5, -2) == -5  # not max(level, floor): only BOTTOM is clamped
 
 
 def test_ceil_log2_values():
@@ -58,9 +56,9 @@ def test_log_bounds_consistent(x):
 
 
 def test_distance_level_degenerate():
-    assert distance_level(0.0) is BOTTOM
-    assert distance_level(1e-12) is BOTTOM  # below tolerance counts as zero
-    assert distance_level(2.0) == 1
+    assert adjusted_level(BOTTOM, 0.0) is BOTTOM
+    assert adjusted_level(BOTTOM, 1e-12) is BOTTOM  # below tolerance counts as zero
+    assert adjusted_level(BOTTOM, 2.0) == 1
 
 
 def test_adjusted_level_mixing():

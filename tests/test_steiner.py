@@ -309,7 +309,7 @@ def test_pcst_approx_deep_tree_under_low_recursion_limit():
 def _reference_pcst_approx(m, terminals, penalties, root):
     """Reference: moat growth over a union-find, rescanning every edge per event."""
     terminals = set(terminals)
-    eps = config.EPS_VAL
+    eps = config.EPS
     parent = list(range(m.n))
 
     def find(v):
