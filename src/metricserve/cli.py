@@ -4,6 +4,7 @@ Every command prints a JSON summary on standard output.  Exit codes:
 0 success, 1 structural-check failure (verify), 2 usage or input error
 (including unreadable or malformed instance documents, disconnected
 graphs, instances outside the numeric range the engines resolve,
+instances past the exact oracle's request cap in ``opt`` and ``verify``,
 output paths that cannot be written and a NaN ``--horizon``).
 An input error prints one ``error:`` line and writes no output file.
 """
@@ -124,10 +125,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_opt(args) -> int:
     inst = _load_instance(args.instance)
-    try:
-        trace = _opt_trace(inst)
-    except OracleCapError as exc:
-        raise _UsageError(str(exc)) from exc
+    trace = _opt_trace(inst)
     if args.trace:
         _write(args.trace, trace.to_json())
     _emit(
@@ -146,10 +144,7 @@ def _cmd_opt(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     trace = _run_trace(inst, args.request_regime, args.horizon)
-    try:
-        opt = _opt_trace(inst)
-    except OracleCapError as exc:
-        raise _UsageError(str(exc)) from exc
+    opt = _opt_trace(inst)
     report = charge_report(inst, trace, opt)
     failures = [c.to_doc() for c in report.failures()]
     _emit(
@@ -294,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (_UsageError, DisconnectedGraphError) as exc:
+    except (_UsageError, DisconnectedGraphError, OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericRangeError as exc:

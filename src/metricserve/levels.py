@@ -10,7 +10,7 @@ arithmetic, so that budgets of the form ``2**level`` stay positive.
 import math
 
 from . import config
-from .metric import MetricSpace
+from .metric import MetricSpace, NumericRangeError
 
 #: The unbounded-below initial level.
 BOTTOM = -math.inf
@@ -22,30 +22,23 @@ def ceil_log2(x: float) -> int:
     """Smallest integer k with 2**k >= x, robust to eps-sized noise.
 
     Requires x > 0.  A value within eps below an exact power of two is
-    treated as that power (so ceil_log2(4 + 1e-15) == 2).
+    treated as that power (so ceil_log2(4 + 1e-15) == 2).  A value within
+    eps of 0 has no such k and raises ``NumericRangeError``.
     """
-    eps = config.EPS
     if x <= 0:
         raise ValueError(f"ceil_log2 requires a positive argument, got {x}")
-    k = math.ceil(math.log2(x))
-    while 2.0 ** (k - 1) >= x - eps:
-        k -= 1
-    while 2.0**k < x - eps:
-        k += 1
-    return k
+    if x <= config.EPS:
+        raise NumericRangeError(f"ceil_log2 of {x}, which lies within EPS of 0")
+    # frexp: x - EPS = frac * 2**exp with 0.5 <= frac < 1, exact
+    frac, exp = math.frexp(x - config.EPS)
+    return exp - 1 if frac == 0.5 else exp
 
 
 def floor_log2(x: float) -> int:
     """Largest integer k with 2**k <= x, robust to eps-sized noise."""
-    eps = config.EPS
     if x <= 0:
         raise ValueError(f"floor_log2 requires a positive argument, got {x}")
-    k = math.floor(math.log2(x))
-    while 2.0 ** (k + 1) <= x + eps:
-        k += 1
-    while 2.0**k > x + eps:
-        k -= 1
-    return k
+    return math.frexp(x + config.EPS)[1] - 1
 
 
 def min_level(m: MetricSpace) -> int:

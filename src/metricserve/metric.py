@@ -15,11 +15,17 @@ parts by the endpoint rule: the whole edge when both endpoints lie in
 the ball, the segment of length ``r - dist(center, u)`` nearest the
 inside endpoint when only u lies in it, nothing otherwise.  A
 perforated ball claims what the plain ball claims minus, for every node
-v', the positions within distance r/rho of v'.  Starting the perforated
-case from the endpoint rule (instead of re-deriving inside-ball
-positions from the 1-D distance) keeps the perforation-difference bound
-``measure(ball) - measure(perforated) <= 2 r n^2 / rho`` an identity of
-the construction: each edge loses at most ``2 r / rho`` to holes.
+z, the positions within distance h = r/rho of z.  On edge (u, x) only
+the holes of u and x matter: every path from z into the edge enters it
+through u or x, so z's hole on the edge lies inside u's hole ``[0, h]``
+(as ``d(z,u) + t <= h`` implies ``t <= h``) or inside x's hole
+``[w - h, w]``.  The claim is therefore the ball claim clipped to the
+gap between those two end segments, and empty when they meet within
+``EPS``.  Starting the perforated case from the endpoint rule (instead
+of re-deriving inside-ball positions from the 1-D distance) keeps the
+perforation-difference bound ``measure(ball) - measure(perforated) <=
+2 r n^2 / rho`` an identity of the construction: the clip takes at most
+h from each end, so each edge loses at most ``2 r / rho`` to holes.
 """
 
 from __future__ import annotations
@@ -278,62 +284,10 @@ def ball_points(m: MetricSpace, v: int, r: float) -> frozenset[int]:
     return frozenset(int(u) for u in np.nonzero(row <= r + config.EPS)[0])
 
 
-# ---------------------------------------------------------------------------
-# interval arithmetic on a single edge, positions in [0, w]
-# ---------------------------------------------------------------------------
-
-
-def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    eps = config.EPS
-    out: list[tuple[float, float]] = []
-    for lo, hi in sorted(intervals):
-        if hi - lo <= 0:
-            continue
-        if out and lo <= out[-1][1] + eps:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _subtract(
-    base: list[tuple[float, float]], holes: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    holes = _merge(holes)
-    out: list[tuple[float, float]] = []
-    for lo, hi in base:
-        cur = lo
-        for hlo, hhi in holes:
-            if hhi <= cur or hlo >= hi:
-                continue
-            if hlo > cur:
-                out.append((cur, hlo))
-            cur = max(cur, hhi)
-            if cur >= hi:
-                break
-        if cur < hi:
-            out.append((cur, hi))
-    return out
-
-
-def _positions_within(
-    m: MetricSpace, u: int, x: int, w: float, z: int, r: float
-) -> list[tuple[float, float]]:
-    """Positions t on edge (u, x) with min(d(z,u)+t, d(z,x)+w-t) <= r."""
-    out = []
-    left = r - m.distance(z, u)
-    if left > 0:
-        out.append((0.0, min(w, left)))
-    right = r - m.distance(z, x)
-    if right > 0:
-        out.append((max(0.0, w - right), w))
-    return _merge(out)
-
-
 def _ball_claim(
     m: MetricSpace, u: int, x: int, w: float, v: int, r: float
 ) -> list[tuple[float, float]]:
-    """Endpoint-rule claim of Ball(v, r) on edge (u, x)."""
+    """Endpoint-rule claim of Ball(v, r) on edge (u, x): one interval or none."""
     eps = config.EPS
     du, dx = m.distance(v, u), m.distance(v, x)
     u_in, x_in = du <= r + eps, dx <= r + eps
@@ -352,16 +306,17 @@ def edge_intervals_in_shape(
     m: MetricSpace, u: int, x: int, w: float, shape: Shape
 ) -> list[tuple[float, float]]:
     """Position intervals the shape claims on edge (u, x) of weight w."""
-    if isinstance(shape, Ball):
-        return _ball_claim(m, u, x, w, shape.center, shape.radius)
-    base = _ball_claim(m, u, x, w, shape.center, shape.radius)
-    if not base:
+    claim = _ball_claim(m, u, x, w, shape.center, shape.radius)
+    if not claim or isinstance(shape, Ball):
+        return claim
+    # the holes of u and x are [0, h] and [w - h, w]; within EPS of each
+    # other they join and cover the edge, unless x's is empty (w - h == w)
+    h = shape.radius / shape.rho
+    if w - h < w and w - h <= h + config.EPS:
         return []
-    hole_r = shape.radius / shape.rho
-    holes: list[tuple[float, float]] = []
-    for z in range(m.n):
-        holes.extend(_positions_within(m, u, x, w, z, hole_r))
-    return _subtract(base, holes)
+    [(lo, hi)] = claim
+    lo, hi = max(lo, h), min(hi, w - h)
+    return [(lo, hi)] if lo < hi else []
 
 
 def shape_edge_measure(m: MetricSpace, edges: EdgeSet, shape: Shape) -> float:

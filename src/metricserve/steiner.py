@@ -86,6 +86,7 @@ import numpy as np
 
 from . import config
 from .metric import EdgeSet, MetricSpace
+from .walks import tree_adjacency
 
 __all__ = [
     "SteinerSolution",
@@ -596,14 +597,11 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
     # subtree only when the penalty mass it rescues strictly exceeds the
     # cost of the edge reaching it.  Post-order over an explicit stack of
     # [node, parent, remaining children, benefit], children by ascending id.
-    adj: dict[int, list[int]] = {}
-    for u, v in forest:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = tree_adjacency(forest)
 
     def open_frame(u: int, par: int) -> list:
         b = penalties.get(u, 0.0) if u in terminals else 0.0
-        return [u, par, iter(sorted(adj.get(u, []))), b]
+        return [u, par, iter(adj.get(u, ())), b]
 
     kept: set[tuple[int, int]] = set()
     stack = [open_frame(root, -1)]

@@ -6,11 +6,11 @@ routes stay independent: Floyd-style relaxation for distances, linear
 scans for balls, pure interval arithmetic for measures, subset/permutation
 enumeration for trees and offline optima.
 
-The exceptions are the last three sections: the broadcast-add
-relaxation and the metric closure built through the complete graph's
-edge list, the scalar push-form exact oracles, and the ``json.dumps``
-instance writer, kept as they were before the library versions were
-sped up.
+The exceptions are the last four sections: the per-node hole scan for
+perforated-ball claims, the broadcast-add relaxation and the metric
+closure built through the complete graph's edge list, the scalar
+push-form exact oracles, and the ``json.dumps`` instance writer, kept
+as they were before the library versions were simplified or sped up.
 They are references for byte and trace equality (ties and visit
 orders), not independent routes.
 """
@@ -26,7 +26,14 @@ import numpy as np
 
 from metricserve import config
 from metricserve.instance import Instance
-from metricserve.metric import MetricSpace, WeightedGraph, build_metric
+from metricserve.metric import (
+    Ball,
+    MetricSpace,
+    PerforatedBall,
+    WeightedGraph,
+    build_metric,
+    edge_intervals_in_shape,
+)
 from metricserve.offline_oracle import OptEvent, OptTrace
 from metricserve.walks import expand_hops, walk_cost
 
@@ -320,6 +327,72 @@ def opt_delay_exhaustive(m: MetricSpace, inst: Instance) -> float:
             frontier = nxt
         best = min(best, min(frontier.values()) + total_delay)
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference perforated-ball claim: the ball claim minus the hole of every
+# node, merged interval by interval, kept so that the library's closed form
+# can be checked against it for exact equality
+# ---------------------------------------------------------------------------
+
+
+def _merge_reference(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Sorted union of the intervals; zero-length ones are dropped and
+    intervals within ``EPS`` of each other join."""
+    out: list[tuple[float, float]] = []
+    for lo, hi in sorted(intervals):
+        if hi - lo <= 0:
+            continue
+        if out and lo <= out[-1][1] + config.EPS:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _subtract_reference(base, holes) -> list[tuple[float, float]]:
+    holes = _merge_reference(holes)
+    out: list[tuple[float, float]] = []
+    for lo, hi in base:
+        cur = lo
+        for hlo, hhi in holes:
+            if hhi <= cur or hlo >= hi:
+                continue
+            if hlo > cur:
+                out.append((cur, hlo))
+            cur = max(cur, hhi)
+            if cur >= hi:
+                break
+        if cur < hi:
+            out.append((cur, hi))
+    return out
+
+
+def _positions_within_reference(m: MetricSpace, u: int, x: int, w: float, z: int, r: float):
+    """Positions t on edge (u, x) with min(d(z,u)+t, d(z,x)+w-t) <= r."""
+    out = []
+    left = r - m.distance(z, u)
+    if left > 0:
+        out.append((0.0, min(w, left)))
+    right = r - m.distance(z, x)
+    if right > 0:
+        out.append((max(0.0, w - right), w))
+    return _merge_reference(out)
+
+
+def perforated_claim_reference(
+    m: MetricSpace, u: int, x: int, w: float, shape: PerforatedBall
+) -> list[tuple[float, float]]:
+    """The claim of ``shape`` on edge (u, x) by its definition: the plain
+    ball's endpoint-rule claim minus the radius/rho hole of every node."""
+    base = edge_intervals_in_shape(m, u, x, w, Ball(shape.center, shape.radius))
+    if not base:
+        return []
+    hole_r = shape.radius / shape.rho
+    holes: list[tuple[float, float]] = []
+    for z in range(m.n):
+        holes.extend(_positions_within_reference(m, u, x, w, z, hole_r))
+    return _subtract_reference(base, holes)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -68,12 +71,15 @@ def test_run_mode_mismatch(tmp_path, capsys):
     assert code == 2
 
 
-def test_opt_cap_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["opt", "verify"])
+@pytest.mark.parametrize("mode,requests,cap", [("deadline", 14, 12), ("delay", 10, 8)])
+def test_oracle_cap_exit_2(tmp_path, capsys, command, mode, requests, cap):
+    """An instance past the exact oracle's request cap is an input error for
+    both commands that need the optimum: one ``error:`` line naming the cap."""
     inst = tmp_path / "big.json"
-    _run(capsys, ["generate", "--seed", "3", "--points", "5", "--requests", "14",
-                  "--mode", "deadline", "--out", str(inst)])
-    code, _ = _run(capsys, ["opt", "--instance", str(inst)])
-    assert code == 2
+    _run(capsys, ["generate", "--seed", "3", "--points", "5", "--requests", str(requests),
+                  "--mode", mode, "--out", str(inst)])
+    _input_error(capsys, [command, "--instance", str(inst)], f"caps at {cap} requests")
 
 
 def test_verify_lone_request(tmp_path, capsys):
@@ -418,3 +424,34 @@ def test_opt_resolves_tiny_delay_instance(tmp_path, capsys):
     code, out = _run(capsys, ["opt", "--instance", str(path)])
     assert code == 0
     assert 0 < json.loads(out)["total_cost"] < 1e-6
+
+
+def _tiny_deadline():
+    """A deadline instance with every weight multiplied by 2**-34: some
+    cylinder radius lies within the ``1e-9`` tolerance, where no radius
+    class ``ceil(log2 r)`` can be told apart from a smaller one."""
+    inst = generate(seed=0, n_points=8, n_requests=8, mode="deadline")
+    g = inst.graph
+    return replace(inst, graph=replace(g, edges=tuple((u, v, w * 2.0**-34) for u, v, w in g.edges)))
+
+
+def test_tiny_deadline_instance_runs_and_verify_exits_2(tmp_path, capsys):
+    """``run`` serves the instance; ``verify`` stops with one ``error:``
+    line.  It runs in a subprocess under a timeout, so a ``verify`` that
+    never returns fails the test instead of hanging the suite."""
+    path = tmp_path / "tiny.json"
+    path.write_text(serialize_instance(_tiny_deadline()))
+    code, out = _run(capsys, ["run", "--instance", str(path)])
+    assert code == 0 and json.loads(out)["n_services"] > 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "metricserve.cli",
+         "verify", "--instance", str(path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "outside the numeric range the engine resolves" in proc.stderr

@@ -1,5 +1,6 @@
 """Level arithmetic: bottom element, robust dyadic logs."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from metricserve.levels import (
     clamp_bottom,
     floor_log2,
 )
+from metricserve.metric import NumericRangeError
 
 
 def test_bottom_ordering():
@@ -45,7 +47,7 @@ def test_floor_log2_values():
     assert floor_log2(0.49) == -2
 
 
-@given(st.floats(min_value=1e-6, max_value=1e9))
+@given(st.floats(min_value=2e-9, max_value=1e9))
 def test_log_bounds_consistent(x):
     k = ceil_log2(x)
     assert 2.0**k >= x - 1e-9
@@ -53,6 +55,22 @@ def test_log_bounds_consistent(x):
     j = floor_log2(x)
     assert 2.0**j <= x + 1e-9
     assert 2.0 ** (j + 1) > x
+
+
+@pytest.mark.parametrize("x", [1e-9, 5e-10, 2.0**-34, 5e-324])
+def test_ceil_log2_within_eps_of_zero_is_out_of_range(x):
+    """No level is robust to eps-sized noise there; it is a range error, not
+    a loop that never ends.  floor_log2 still answers."""
+    with pytest.raises(NumericRangeError):
+        ceil_log2(x)
+    assert 2.0 ** floor_log2(x) <= x + 1e-9
+
+
+@pytest.mark.parametrize("f", [ceil_log2, floor_log2])
+@pytest.mark.parametrize("x", [0.0, -1.0])
+def test_log2_of_non_positive_is_a_value_error(f, x):
+    with pytest.raises(ValueError):
+        f(x)
 
 
 def test_distance_level_degenerate():

@@ -1,5 +1,6 @@
 """Metric construction, balls, edge-part measures, perforation bound."""
 
+import math
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from metricserve.metric import (
     ball_points,
     build_metric,
     complete_graph_on,
+    edge_intervals_in_shape,
     perforation_gap_bound_check,
     shape_edge_measure,
     shapes_edge_disjoint,
@@ -29,6 +31,7 @@ from oracles import (
     complete_graph_on_reference,
     floyd_distances,
     interval_ball_measure,
+    perforated_claim_reference,
     relax_reference,
 )
 
@@ -288,11 +291,91 @@ def test_perforated_ball_contains_no_nodes():
     hole = 4.0 / 8.0
     for u, x in m.edges:
         w = m.edge_weight(u, x)
-        from metricserve.metric import edge_intervals_in_shape
-
         for lo, hi in edge_intervals_in_shape(m, u, x, w, shape):
             assert lo >= hole - 1e-9
             assert hi <= w - hole + 1e-9
+
+
+def _perforated_branch(w: float, shape: PerforatedBall, claim) -> str:
+    """Which case of the closed form a nonempty ball claim falls in."""
+    h = shape.radius / shape.rho
+    if h == 0:
+        return "no hole"
+    if w - h == w:
+        return "one hole (w - h == w)"
+    if w - h <= h + 1e-9:
+        return "holes join"
+    [(lo, hi)] = claim
+    return "clipped" if max(lo, h) < min(hi, w - h) else "clipped away"
+
+
+def test_perforated_claim_closed_form_matches_per_node_holes():
+    """The closed form (the holes of the edge's own ends only) equals the
+    definition (the hole of every node, merged) exactly, on weights from
+    1e-12 to 1e9 and unit weights, radius 0 and boundary radii, rho from
+    just above 1 to 512 n^2 and rho that makes the end holes just meet."""
+    rng = random.Random(907)
+    draws = {
+        "log": lambda: 10 ** rng.uniform(-12, 9),
+        "unit": lambda: 1.0,
+        "uniform": lambda: rng.uniform(1.0, 10.0),
+    }
+    hits: dict[str, int] = {}
+    for trial in range(600):
+        n = rng.randint(2, 9)
+        draw = draws[("log", "unit", "uniform")[trial % 3]]
+        tree = random_graph(rng, n, extra_edges=rng.randrange(5))
+        m = build_metric(WeightedGraph(n, tuple((u, v, draw()) for u, v, _ in tree.edges)))
+        edges = m.sorted_edges
+        for _ in range(20):
+            v = rng.randrange(n)
+            eu, ex, ew = rng.choice(edges)
+            r = rng.choice([
+                0.0,
+                10 ** rng.uniform(-40, -9),
+                m.distance(v, rng.randrange(n)),
+                m.distance(v, eu) + rng.random() * ew,
+                rng.uniform(0.0, 1.5 * float(m.dist.max())),
+            ])
+            rho = rng.choice([
+                math.nextafter(1.0, 2.0),
+                1.0 + 10 ** rng.uniform(-15, 0),
+                2 ** rng.uniform(0.0, math.log2(512 * n * n)),
+                512.0 * n * n,
+                max(math.nextafter(1.0, 2.0), 2 * r / ew * (1 + rng.uniform(-1e-9, 1e-9))),
+            ])
+            shape = PerforatedBall(v, r, rho)
+            for u, x, w in edges:
+                claim = edge_intervals_in_shape(m, u, x, w, shape)
+                assert claim == perforated_claim_reference(m, u, x, w, shape), (u, x, w, shape)
+                ball = edge_intervals_in_shape(m, u, x, w, Ball(v, r))
+                if ball:
+                    branch = _perforated_branch(w, shape, ball)
+                    hits[branch] = hits.get(branch, 0) + 1
+    print(sorted(hits.items()))
+    assert set(hits) == {"no hole", "one hole (w - h == w)", "holes join", "clipped",
+                         "clipped away"}, hits
+
+
+@pytest.mark.parametrize("w,radius,expected", [
+    # h = 1.0 and the holes' gap w - 2h is exactly EPS: they join
+    (1.0 + (1.0 + 1e-9), 2.0, []),
+    # one ulp wider, they do not
+    (math.nextafter(1.0 + (1.0 + 1e-9), 3.0), 2.0, "nonempty"),
+    # h = 5e-301 leaves w - h == w: x's hole is empty, u's still cuts
+    (1e-12, 1e-300, [(5e-301, 1e-12)]),
+])
+def test_perforated_claim_hole_boundaries(w, radius, expected):
+    """Exact cases of the closed form on one edge of weight w, center 0 and
+    rho = 2, checked against the per-node definition too."""
+    m = build_metric(WeightedGraph(2, ((0, 1, w),)))
+    shape = PerforatedBall(0, radius, 2.0)
+    claim = edge_intervals_in_shape(m, 0, 1, w, shape)
+    assert claim == perforated_claim_reference(m, 0, 1, w, shape)
+    if expected == "nonempty":
+        assert claim and claim[0][0] == 1.0
+    else:
+        assert claim == expected
 
 
 def test_distance_reads_dist_in_any_layout():
