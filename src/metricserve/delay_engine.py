@@ -149,24 +149,14 @@ class DelayEngine(EngineCore):
         y = self.requests[qid].delay.value(t)
         return max(y - self.counters[qid], 0.0)
 
-    def total_residual(self, level: int, t: float) -> float:
-        return math.fsum(
-            self.residual(qid, t)
-            for qid in self.pending
-            if self.clamped_alevel(qid) <= level
-        )
-
     def max_critical_level(self, t: float) -> int | None:
         """Largest level whose total residual has reached its threshold."""
-        if not self.pending:
-            return None
         shares = [(self.clamped_alevel(qid), self.residual(qid, t)) for qid in self.pending]
         total = math.fsum(r for _, r in shares)
         if total <= config.EPS:
             return None
         cap = max(max(lv for lv, _ in shares), math.ceil(math.log2(total)) + 1)
         for level in range(cap, self.level_floor - 1, -1):
-            # the same sum as total_residual(level, t)
             if math.fsum(r for lv, r in shares if lv <= level) >= 2.0**level - config.EPS:
                 return level
         return None
@@ -174,15 +164,18 @@ class DelayEngine(EngineCore):
     # -- critical-event search ------------------------------------------------
 
     def next_critical_event(self, from_t: float, until: float) -> CriticalEvent | None:
-        """Earliest crossing of some level's threshold in (from_t, until].
-
-        ``until`` may be ``math.inf``; the tail past the last breakpoint is
-        handled analytically (all delay slopes are constant there).
-        Only currently pending requests participate; the runner advances
-        segment by segment between releases.
+        """Earliest moment in [from_t, until] at which some level is critical:
+        ``from_t`` when ``max_critical_level(from_t)`` is a level, else the
+        first crossing.  ``until`` may be ``math.inf``; the tail past the last
+        breakpoint is handled analytically (all delay slopes are constant
+        there).  Only pending requests take part; the runner calls this
+        between releases.
         """
         if not self.pending:
             return None
+        level = self.max_critical_level(from_t)
+        if level is not None:
+            return CriticalEvent(time=from_t, level=level)
         boundaries = sorted(self._kinks(self.pending, from_t, until)) + [until]
         s0 = from_t
         for s1 in boundaries:
@@ -195,8 +188,6 @@ class DelayEngine(EngineCore):
                     )
                 return CriticalEvent(time=t_star, level=level)
             s0 = s1
-            if s0 >= until:
-                break
         return None
 
     def _segment_crossing(self, s0: float, s1: float) -> float | None:
@@ -235,22 +226,22 @@ class DelayEngine(EngineCore):
 
     def upon_critical(self, critical_level: int, t: float) -> DelayServiceRecord:
         """Serve at ``t``; the caller passes ``max_critical_level(t)``, which
-        ``run_delay`` and ``next_critical_event`` have both just computed."""
+        ``next_critical_event`` has just computed."""
         if critical_level is None:
             raise RuntimeError("scheduler bug: no level is critical now")
         service_level = critical_level + 3
         a = self.position
         budget = 6.0 * 2.0**service_level
 
-        triggers = sorted(
-            qid
-            for qid in self.pending
+        trigger_residuals = {
+            qid: r
+            for qid in sorted(self.pending)
             if self.clamped_alevel(qid) <= critical_level
-            and self.residual(qid, t) > config.EPS
-        )
+            and (r := self.residual(qid, t)) > config.EPS
+        }
+        triggers = list(trigger_residuals)
         if not triggers:
             raise NumericRangeError(f"no trigger at t={t!r} for critical level {critical_level}")
-        trigger_residuals = {qid: self.residual(qid, t) for qid in triggers}
         primary = all(self.levels[qid] < service_level - 4 for qid in triggers)
 
         space = self.space()
@@ -415,9 +406,6 @@ class DelayEngine(EngineCore):
             }
             return pcst_approx(space, set(by_node), penalties, root)
 
-        if not eligible:
-            return t, evaluate(t)
-
         w_total = space.total_weight()
         t_big = max(
             self.requests[qid].delay.first_time_at_least(
@@ -469,26 +457,19 @@ def run_delay(
     while True:
         guard -= 1
         if guard < 0:
-            raise RuntimeError("service cascade failed to terminate")
-        while True:
-            guard -= 1
-            if guard < 0:
-                raise RuntimeError("service cascade failed to terminate")
-            level = engine.max_critical_level(t)
-            if level is None:
-                break
-            engine.upon_critical(level, t)
+            raise RuntimeError("delay run failed to terminate")
         next_release = releases[idx].release if idx < len(releases) else math.inf
         release_due = idx < len(releases) and next_release <= limit
         until = min(next_release, limit)
-        event = engine.next_critical_event(t, until) if engine.pending else None
-        # a crossing lies at most EPS past until <= limit: inside the horizon
+        event = engine.next_critical_event(t, until)
+        # a crossing lies at most EPS past until <= limit: inside the horizon.
+        # An event at t itself passes too: a service at t passed this test
+        # already, and a reveal at t took every release up to t + EPS.
         if event is not None and (event.time < next_release - config.EPS or not release_due):
             t = event.time
             engine.upon_critical(event.level, t)
         elif release_due:
-            # releases first at equal timestamps; a tied crossing fires as a
-            # cascade right after the reveal
+            # releases first at equal timestamps; a tied crossing fires next pass
             t = next_release
             while idx < len(releases) and releases[idx].release <= t + config.EPS:
                 engine.reveal(releases[idx])

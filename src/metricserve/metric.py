@@ -176,9 +176,6 @@ class MetricSpace:
     def edge_weight(self, u: int, v: int) -> float:
         return self._edge_weight[(min(u, v), max(u, v))]
 
-    def neighbors(self, u: int) -> list[tuple[int, float]]:
-        return self._adj.get(u, [])
-
     @property
     def edges(self) -> EdgeSet:
         return frozenset(self._edge_weight)

@@ -193,13 +193,11 @@ def _prim(m: MetricSpace, terminals: list[int]) -> list[WeightedEdge]:
 
 
 def _prune_leaves(edges: list[WeightedEdge], keep: set[int]) -> list[WeightedEdge]:
-    """Drop degree-1 nodes outside ``keep`` until none is left.
+    """Drop degree-1 nodes outside ``keep`` from nonempty ``edges`` until none is left.
 
     One pass over a queue of leaves; the surviving edges keep their list
     order, so sums over them add the same weights in the same order.
     """
-    if not edges:
-        return edges
     _, us, vs = zip(*edges)
     degree = Counter(us)
     degree.update(vs)
@@ -517,8 +515,6 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
     while live:
         best_event: tuple | None = None
         if queue is not None:
-            if not queue:
-                break
             best_delta = queue[0][0]
             # the smallest value above the minimum decides, by the scan's test
             rival = bisect.bisect_right(queue, (best_delta, 2))
@@ -542,8 +538,6 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
                 if surplus[c] < best_delta - 1e-15:
                     best_delta = surplus[c]
                     best_event = (1, c)
-            if best_event is None:
-                break
         if best_delta != 0.0:
             queue = None
             for c in live:

@@ -65,7 +65,7 @@ def shortest_path_reference(m: MetricSpace, u: int, v: int) -> list[int]:
     call from ``m.dist`` read as numpy scalars."""
     path, cur, remaining = [u], u, float(m.dist[u, v])
     while cur != v:
-        for z, w in m.neighbors(cur):
+        for z, w in m._adj[cur]:
             if abs(w + float(m.dist[z, v]) - remaining) <= config.EPS:
                 path.append(z)
                 remaining -= w

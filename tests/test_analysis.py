@@ -2,8 +2,10 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 from metricserve.analysis import (
+    _cdchg,
     build_certified_cylinders,
     build_primary_cylinders,
     charge_report,
@@ -16,10 +18,16 @@ from metricserve.analysis import (
 )
 from metricserve.deadline_engine import run_deadline
 from metricserve.delay_engine import run_delay
-from metricserve.instance import DeadlineRequest, Instance, generate
+from metricserve.instance import (
+    DeadlineRequest,
+    DelayFunction,
+    DelayRequest,
+    Instance,
+    generate,
+)
 from metricserve.levels import ceil_log2
 from metricserve.metric import Ball, WeightedGraph, build_metric
-from metricserve.offline_oracle import opt_deadline, opt_delay
+from metricserve.offline_oracle import OptTrace, opt_deadline, opt_delay
 
 
 def _deadline_instance(graph, start, reqs):
@@ -203,6 +211,45 @@ def test_perforated_partition_cross_level_disjoint(path_metric):
     assert partition.disjoint
     sizes = [len(c) for c in partition.classes]
     assert sorted(sizes) == [0, 0, 2]
+
+
+def _ball_cylinder(sid, t_start, t_end):
+    return Cylinder(shape=Ball(0, 2.0), t_start=t_start, t_end=t_end, service_id=sid,
+                    kind="primary", level=3)
+
+
+def test_overlapping_cylinders_are_reported(path_metric):
+    """Equal balls over overlapping intervals share every edge part they
+    claim, perforated or not, so the pair is a violation."""
+    a, b = _ball_cylinder(0, 0.0, 2.0), _ball_cylinder(1, 1.0, 3.0)
+    assert not cylinders_disjoint(path_metric, a, b)
+    partition = perforate_and_partition(path_metric, [a, b], rho=8.0)
+    assert partition.violations == ((0, 1),)
+    assert not partition.disjoint
+
+
+def test_cylinders_over_disjoint_intervals_are_disjoint(path_metric):
+    a, b = _ball_cylinder(0, 0.0, 1.0), _ball_cylinder(1, 1.0, 3.0)
+    assert cylinders_disjoint(path_metric, a, b)
+    assert perforate_and_partition(path_metric, [a, b], rho=8.0).disjoint
+
+
+def test_cdchg_charges_only_requests_the_optimum_serves_late(path_graph):
+    """Request 0 is served by the optimum after the forwarding time and is
+    charged its forwarded delay past ``max(y(t), ctr_before)``; request 1,
+    served before it, is not charged."""
+    late = DelayRequest(0, 1, 0.0, DelayFunction(((0.0, 0.0),), 1.0))
+    early = DelayRequest(1, 2, 0.0, DelayFunction(((0.0, 0.0),), 2.0))
+    inst = Instance(graph=path_graph, server_start=0, mode="delay", requests=(late, early))
+    record = SimpleNamespace(
+        time=2.0, forwarding_time=5.0, eligible_ids=(0, 1),
+        eligible_ctr_before={0: 3.0, 1: 0.5},
+    )
+    opt = OptTrace(mode="delay", start=0, events=(), movement_cost=0.0, delay_cost=0.0,
+                   service_time={0: 6.0, 1: 1.0})
+    expected = max(0.0, late.delay.value(5.0) - max(late.delay.value(2.0), 3.0))
+    assert expected == 2.0
+    assert _cdchg(inst, record, opt) == expected
 
 
 def test_partition_class_count_arithmetic():

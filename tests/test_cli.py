@@ -129,6 +129,30 @@ def test_report_batch(tmp_path, capsys):
         assert float(row["ratio"]) >= 1.0 - 1e-9
 
 
+def test_report_past_the_oracle_cap_and_at_zero_cost(tmp_path, capsys):
+    """A row past the deadline oracle's 12-request cap has no optimum and
+    no ratio; a row whose requests all sit on the server start costs 0 on
+    both sides, and its ratio is 1."""
+    capped = generate(seed=3, n_points=6, n_requests=13, mode="deadline")
+    (tmp_path / "a_capped.json").write_text(serialize_instance(capped))
+    inst = generate(seed=3, n_points=6, n_requests=4, mode="deadline")
+    at_start = replace(inst, requests=tuple(
+        replace(q, point=inst.server_start) for q in inst.requests
+    ))
+    (tmp_path / "b_at_start.json").write_text(serialize_instance(at_start))
+    out_csv = tmp_path / "report.csv"
+    code, out = _run(capsys, ["report", "--glob", str(tmp_path / "*.json"),
+                              "--csv", str(out_csv)])
+    assert code == 0
+    with open(out_csv) as fh:
+        capped_row, zero_row = csv.DictReader(fh)
+    assert capped_row["m"] == "13"
+    assert capped_row["opt_cost"] == capped_row["ratio"] == ""
+    assert float(zero_row["alg_cost"]) == float(zero_row["opt_cost"]) == 0.0
+    assert zero_row["ratio"] == "1"
+    assert json.loads(out)["max_ratio"] == 1.0
+
+
 def test_unknown_flag_exit_2(capsys):
     code, _ = _run(capsys, ["run", "--instance", "x.json", "--bogus"])
     assert code == 2

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from metricserve.delay_engine import DelayEngine, run_delay
+from metricserve import config
+from metricserve.delay_engine import CriticalEvent, DelayEngine, run_delay
 from metricserve.instance import DelayFunction, DelayRequest, Instance, generate
 from metricserve.levels import min_level
 from metricserve.metric import WeightedGraph, build_metric
@@ -67,16 +68,23 @@ def test_residual_matches_direct_evaluation(unit_edge_metric):
         assert engine.residual(0, probe) == pytest.approx(direct, abs=1e-9)
 
 
-def test_total_residual_membership(unit_edge_metric):
-    engine = DelayEngine(unit_edge_metric, 0)
-    engine.reveal(_slope_request(0, 1, 0.0, 1.0))  # alevel 0 at distance 1
-    t = 0.75
-    assert engine.total_residual(-1, t) == 0.0
-    assert engine.total_residual(0, t) == pytest.approx(0.75)
-    assert engine.total_residual(5, t) == pytest.approx(0.75)
+def test_max_critical_level_counts_requests_at_or_below_it():
+    """A level's total counts only requests whose clamped adjusted level is
+    at most that level: the distance-1 request (adjusted level 0) makes
+    level 0 critical at t = 1.0, and never level -1, whose threshold 0.5 its
+    residual passes at t = 0.75."""
+    g = WeightedGraph(node_count=3, edges=((0, 1, 1.0), (1, 2, 0.25)))
+    engine = DelayEngine(build_metric(g), 0)
+    engine.reveal(_slope_request(0, 1, 0.0, 1.0))
+    assert engine.level_floor < -1 and engine.clamped_alevel(0) == 0
+    assert engine.max_critical_level(0.75) is None
+    assert engine.max_critical_level(1.0) == 0
+    assert engine.max_critical_level(3.0) == 1
 
 
-def test_total_residual_nondecreasing_in_level():
+def test_max_critical_level_is_the_largest_level_over_its_threshold():
+    """Against the rule summed level by level: the largest level whose
+    requests at or below it hold ``2**level - EPS`` of residual."""
     rng = random.Random(5)
     g = random_graph(rng, 6, extra_edges=3)
     m = build_metric(g)
@@ -84,11 +92,30 @@ def test_total_residual_nondecreasing_in_level():
     for i in range(5):
         engine.reveal(_slope_request(i, rng.randrange(6), 0.0, rng.uniform(0.2, 2.0)))
         engine.counters[i] = rng.uniform(0.0, 1.0)
-    prev = 0.0
-    for level in range(engine.level_floor, 12):
-        cur = engine.total_residual(level, 3.0)
-        assert cur >= prev - 1e-12
-        prev = cur
+    found = []
+    for t in (0.25, 0.5, 1.0, 2.0, 3.0, 6.0, 12.0):
+        critical = [
+            level
+            for level in range(engine.level_floor, 12)
+            if math.fsum(
+                engine.residual(qid, t)
+                for qid in engine.pending
+                if engine.clamped_alevel(qid) <= level
+            )
+            >= 2.0**level - config.EPS
+        ]
+        found.append(max(critical, default=None))
+        assert engine.max_critical_level(t) == found[-1], t
+    assert None in found and len(set(found) - {None}) > 1
+
+
+def test_next_critical_event_starts_at_from_t(unit_edge_metric):
+    """A level already critical at ``from_t`` is an event at ``from_t``."""
+    engine = DelayEngine(unit_edge_metric, 0)
+    engine.reveal(_slope_request(0, 1, 0.0, 1.0))
+    ev = engine.next_critical_event(2.0, math.inf)
+    assert ev == CriticalEvent(time=2.0, level=engine.max_critical_level(2.0))
+    assert ev.level == 1
 
 
 def test_next_critical_event_hand_case(unit_edge_metric):
