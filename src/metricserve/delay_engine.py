@@ -338,7 +338,7 @@ class DelayEngine(EngineCore):
         to ``increments`` and return their sum."""
         total = 0.0
         for qid in qids:
-            inc = max(0.0, self.requests[qid].delay.value(t) - self.counters[qid])
+            inc = self.residual(qid, t)
             if inc > 0:
                 self.counters[qid] += inc
                 increments[qid] = increments.get(qid, 0.0) + inc
@@ -398,10 +398,7 @@ class DelayEngine(EngineCore):
         @functools.cache  # the closing calls below repeat a probe
         def evaluate(t_prime: float) -> PcstSolution:
             penalties = {
-                node: math.fsum(
-                    max(0.0, self.requests[qid].delay.value(t_prime) - self.counters[qid])
-                    for qid in qids
-                )
+                node: math.fsum(self.residual(qid, t_prime) for qid in qids)
                 for node, qids in by_node.items()
             }
             return pcst_approx(space, set(by_node), penalties, root)

@@ -439,29 +439,27 @@ def certification_chain(n_far: int = 5, base_deadline: float = 10.0) -> Instance
     )
 
 
-def investment_star(
-    n_leaves: int = 50, leaf_weight: float = 4.0, slope: float = 1.0
-) -> Instance:
+def investment_star(n_leaves: int = 50) -> Instance:
     """Delay-mode star crowded enough to trip the prize-collecting budget.
 
-    All leaves carry unit-slope requests from time zero with the server at
-    the hub.  The first criticality fires at the hub's distance level, and
-    connecting every leaf costs more than the service budget, so the
-    forwarding-time search finds a finite crossing: some requests are
-    served, the rest receive counter investments and level upgrades, and
-    later services certify earlier ones.  Exercises the code paths that
-    sparse random instances rarely reach.
+    Every leaf weighs 4 and carries a unit-slope request from time zero,
+    with the server at the hub.  The first criticality fires at the hub's
+    distance level, and connecting every leaf costs more than the service
+    budget, so the forwarding-time search finds a finite crossing: some
+    requests are served, the rest receive counter investments and level
+    upgrades, and later services certify earlier ones.  Exercises the code
+    paths that sparse random instances rarely reach.
     """
-    if n_leaves * leaf_weight <= 48.0 * leaf_weight / 4:
+    if n_leaves <= 12:
         raise ValueError("too few leaves to exceed the service budget")
-    edges = tuple((0, 1 + i, leaf_weight) for i in range(n_leaves))
+    edges = tuple((0, 1 + i, 4.0) for i in range(n_leaves))
     graph = WeightedGraph(node_count=1 + n_leaves, edges=edges)
     requests = tuple(
         DelayRequest(
             id=i,
             point=1 + i,
             release=0.0,
-            delay=DelayFunction(breakpoints=((0.0, 0.0),), final_slope=slope),
+            delay=DelayFunction(breakpoints=((0.0, 0.0),), final_slope=1.0),
         )
         for i in range(n_leaves)
     )

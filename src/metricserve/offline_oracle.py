@@ -134,6 +134,34 @@ def opt_edges_during(trace: OptTrace, t1: float, t2: float) -> EdgeSet:
     return frozenset(edges)
 
 
+def _opt_trace(inst: Instance, mode: str, visits, delay_cost: float) -> OptTrace:
+    """The trace of ``visits``, each ``(time, points in visit order, served ids)``:
+    walks chain on from the server start, and movement sums their costs in order."""
+    m = inst.metric
+    events = []
+    movement = 0.0
+    service_time: dict[int, float] = {}
+    pos = inst.server_start
+    for t, points, served_ids in visits:
+        walk = expand_hops(m, [pos, *points])
+        movement += walk_cost(m, walk)
+        events.append(OptEvent(time=t, walk=tuple(walk), served_ids=served_ids))
+        for qid in served_ids:
+            service_time[qid] = t
+        pos = walk[-1]
+    return OptTrace(mode, inst.server_start, tuple(events), movement, delay_cost, service_time)
+
+
+def _walk_order(parent: np.ndarray, pts: list, s: int, mask: int, last: int) -> list:
+    """The entries of ``pts`` along the walk in ``parent`` (``parent[None]`` if it
+    has no start axis) from start ``s`` through ``mask`` to ``pts[last]``."""
+    order = []
+    while last != -1:
+        order.append(pts[last])
+        mask, last = mask ^ (1 << last), int(parent[s, mask, last])
+    return order[::-1]
+
+
 # ---------------------------------------------------------------------------
 # deadline mode
 # ---------------------------------------------------------------------------
@@ -188,26 +216,12 @@ def opt_deadline(inst: Instance) -> OptTrace:
     assert len(masks) == 1, "deadline instances are always feasible"
     best_last = min(range(k), key=lambda i: (cost[0, i], i))
 
-    order = []
-    mask, last = (1 << k) - 1, best_last
-    while last != -1:
-        order.append(last)
-        mask, last = mask ^ (1 << last), int(parent[mask, last])
-    order.reverse()
-
-    events = []
-    pos = inst.server_start
+    visits = []
     t = -math.inf
-    movement = 0.0
-    service_time: dict[int, float] = {}
-    for i in order:
-        t = max(t, reqs[i].release)
-        walk = m.shortest_path_nodes(pos, point[i])
-        movement += walk_cost(m, walk)
-        events.append(OptEvent(time=t, walk=tuple(walk), served_ids=(reqs[i].id,)))
-        service_time[reqs[i].id] = t
-        pos = point[i]
-    return OptTrace("deadline", inst.server_start, tuple(events), movement, 0.0, service_time)
+    for q in _walk_order(parent[None], reqs, 0, (1 << k) - 1, best_last):
+        t = max(t, q.release)
+        visits.append((t, [q.point], (q.id,)))
+    return _opt_trace(inst, "deadline", visits, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +274,6 @@ def _walk_table(m: MetricSpace, starts: list[int], pts: list[int]):
         cost[:, tgt, nxt] = best
         parent[:, tgt, nxt] = arg
     return cost, parent, inside
-
-
-def _walk_order(parent: np.ndarray, pts: list[int], s: int, mask: int, last: int) -> list[int]:
-    """Visit order of the table's walk from start ``s`` through ``mask`` to ``pts[last]``."""
-    order = []
-    while last != -1:
-        order.append(pts[last])
-        mask, last = mask ^ (1 << last), int(parent[s, mask, last])
-    return order[::-1]
 
 
 def _scalar_winners(tid: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,28 +362,15 @@ def opt_delay(inst: Instance) -> OptTrace:
     steps = []
     for j in range(n_ev - 1, -1, -1):
         st, sub, start, end = (int(a[at]) for a in back[j])
-        order = _walk_order(parent, pts, start, int(pmask[sub]), end) if sub else []
-        steps.append((j, sub, order))
+        if sub:
+            steps.append((j, sub, _walk_order(parent, pts, start, int(pmask[sub]), end)))
         at = st
-    steps.reverse()
 
-    out_events = []
-    movement = 0.0
+    visits = []
     delay_cost = 0.0
-    service_time: dict[int, float] = {}
-    pos = inst.server_start
-    for j, batch, order in steps:
-        if not batch:
-            continue
-        walk = expand_hops(m, [pos] + list(order))
-        movement += walk_cost(m, walk)
-        served_ids = tuple(sorted(reqs[i].id for i in range(k) if batch & (1 << i)))
-        for i in range(k):
-            if batch & (1 << i):
-                service_time[reqs[i].id] = events[j]
-                delay_cost += delay_at[i][j]
-        out_events.append(OptEvent(time=events[j], walk=tuple(walk), served_ids=served_ids))
-        pos = walk[-1]
-    return OptTrace(
-        "delay", inst.server_start, tuple(out_events), movement, delay_cost, service_time
-    )
+    for j, batch, order in reversed(steps):
+        members = [i for i in range(k) if batch & (1 << i)]
+        for i in members:
+            delay_cost += delay_at[i][j]
+        visits.append((events[j], order, tuple(sorted(reqs[i].id for i in members))))
+    return _opt_trace(inst, "delay", visits, delay_cost)

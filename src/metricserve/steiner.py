@@ -223,10 +223,6 @@ def _prune_leaves(edges: list[WeightedEdge], keep: set[int]) -> list[WeightedEdg
     return [e for e, a in zip(edges, alive) if a]
 
 
-def _edge_cost(m: MetricSpace, edges) -> float:
-    return sum(m.edge_weight(u, v) for u, v in edges)
-
-
 def _tree_from_paths(union: set[WeightedEdge], keep: set[int]) -> list[WeightedEdge]:
     """Deduplicate a connected union of shortest paths into a tree
     spanning ``keep``, by Kruskal and leaf pruning.  A union with one edge
@@ -473,11 +469,10 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
     live = sorted(t for t in terminals if active[t])  # active roots, ascending
 
     depth = [0.0] * m.n  # accumulated moat depth per node
-    # edges between distinct components, in sorted order; a merge marks the
-    # list stale, and the next scan filters it
+    # edges between distinct components as of the last scan, in sorted
+    # order; each scan drops those a merge has put inside a component
     edges = m.sorted_edges
-    stale = False
-    forest: list[tuple[int, int]] = []
+    forest: dict[tuple[int, int], float] = {}  # (min id, max id) -> weight
     # While the depths stand still: every candidate, (value, 0, u, v) for
     # an edge and (value, 1, c) for a live component, in sorted order;
     # ``keyed`` maps each candidate's key to its entry, ``incident`` each
@@ -521,22 +516,26 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
             if rival == len(queue) or best_delta < queue[rival][0] - 1e-15:
                 best_event = queue[0][1:]
         if best_event is None:
-            if stale:
-                edges = [e for e in edges if comp[e[0]] != comp[e[1]]]
-                stale = False
-            best_delta = math.inf
-            for u, v, w in edges:
-                rate = active[comp[u]] + active[comp[v]]
+            best_delta = bar = math.inf
+            between = []
+            for e in edges:
+                u, v, w = e
+                cu, cv = comp[u], comp[v]
+                if cu == cv:
+                    continue
+                between.append(e)
+                rate = active[cu] + active[cv]
                 if rate == 0:
                     continue
                 slack = w - depth[u] - depth[v]
                 delta = (slack if slack > 0.0 else 0.0) / rate
-                if delta < best_delta - 1e-15:
-                    best_delta = delta
+                if delta < bar:
+                    best_delta, bar = delta, delta - 1e-15
                     best_event = (0, u, v)
+            edges = between
             for c in live:
-                if surplus[c] < best_delta - 1e-15:
-                    best_delta = surplus[c]
+                if surplus[c] < bar:
+                    best_delta, bar = surplus[c], surplus[c] - 1e-15
                     best_event = (1, c)
         if best_delta != 0.0:
             queue = None
@@ -549,7 +548,7 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
             cu, cv = comp[u], comp[v]
             was_u, was_v = active[cu], active[cv]
             nu, nv = len(members[cu]), len(members[cv])
-            forest.append((min(u, v), max(u, v)))
+            forest[(min(u, v), max(u, v))] = m.edge_weight(u, v)
             for x in members[cu]:
                 comp[x] = cv
             members[cv].extend(members[cu])
@@ -558,7 +557,6 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
             live = [c for c in live if c != cu and c != cv]
             if active[cv]:
                 bisect.insort(live, cv)
-            stale = True
             if queue is not None:
                 requeue((1, cu), math.inf)
                 requeue((1, cv), surplus[cv] if active[cv] else math.inf)
@@ -610,10 +608,10 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
             stack.pop()
             if stack:
                 up = stack[-1]
-                w = m.edge_weight(up[0], u)
-                if frame[3] > w + eps:
-                    kept.add((min(up[0], u), max(up[0], u)))
-                    up[3] += frame[3] - w
+                e = (min(up[0], u), max(up[0], u))
+                if frame[3] > forest[e] + eps:
+                    kept.add(e)
+                    up[3] += frame[3] - forest[e]
     # the root's component of the kept edges, a subforest of the forest
     tree_nodes = {root}
     todo = [root]
@@ -625,7 +623,7 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
                 todo.append(v)
     tree = [e for e in kept if e[0] in tree_nodes and e[1] in tree_nodes]
     served = frozenset(t for t in terminals if t in tree_nodes or t == root)
-    tree_cost = _edge_cost(m, tree)
+    tree_cost = sum(forest[e] for e in tree)
     penalty_cost = sum(penalties.get(t, 0.0) for t in terminals if t not in served)
     return PcstSolution(
         tree_edges=frozenset(tree),

@@ -70,7 +70,7 @@ def delay_suite():
     rng = random.Random(190_002)
     for i in range(300):
         if i % 30 == 29:
-            inst = investment_star(n_leaves=49 + i % 4, leaf_weight=4.0)
+            inst = investment_star(n_leaves=49 + i % 4)
         else:
             inst = generate(
                 seed=rng.randrange(10**9),

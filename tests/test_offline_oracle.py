@@ -272,6 +272,32 @@ def test_opt_delay_matches_reference_near_ties(family):
         _assert_same_trace(FAMILY[family](rng.randrange(10**9)))
 
 
+def test_opt_deadline_first_visit_on_the_server_start(path_graph):
+    """A request on the start node is served by the one-node walk [start]
+    at no movement, and the optimum equals the reference's."""
+    inst = _deadline_instance(path_graph, 1, [(0, 1, 0.0, 1.0), (1, 2, 2.0, 5.0)])
+    trace = opt_deadline(inst)
+    assert trace.events[0].walk == (1,) and trace.events[0].served_ids == (0,)
+    assert trace.events[1].walk == (1, 2)
+    assert trace.to_json() == opt_deadline_reference(inst).to_json()
+    only_start = _deadline_instance(path_graph, 1, [(0, 1, 0.0, 1.0)])
+    trace = opt_deadline(only_start)
+    assert [ev.walk for ev in trace.events] == [(1,)] and trace.movement_cost == 0.0
+    assert trace.to_json() == opt_deadline_reference(only_start).to_json()
+
+
+def test_opt_delay_batch_served_out_of_id_order(path_graph):
+    """One batch whose walk meets its requests against id order, listed
+    in the instance against id order too: the event lists the ids sorted,
+    and the optimum equals the reference's."""
+    reqs = (_slope_request(7, 2, 0.0, 5.0), _slope_request(3, 1, 0.0, 5.0),
+            _slope_request(5, 2, 0.0, 5.0))
+    inst = Instance(graph=path_graph, server_start=0, mode="delay", requests=reqs)
+    trace = opt_delay(inst)
+    assert [(ev.walk, ev.served_ids) for ev in trace.events] == [((0, 1, 2), (3, 5, 7))]
+    assert trace.to_json() == opt_delay_reference(inst).to_json()
+
+
 def test_walk_table_matches_reference_walks():
     """Every (start, point subset, end) entry of the batch-walk table has
     the cost and visit order of a Held-Karp run on that subset alone."""

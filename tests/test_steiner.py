@@ -431,7 +431,8 @@ def test_pcst_approx_matches_reference_moat_growth():
     turn, and tenth weights whose penalties are an ulp or two off the
     weight, so that the 1e-15 tie rule decides between unequal values.
     Then on 40 denser graphs whose terminals each take one of two
-    penalties."""
+    penalties, and on 12 sparse graphs of 200-400 nodes under random and
+    equal penalties, with and without the root among the terminals."""
     rng = random.Random(53)
     for i in range(320):
         n = rng.randint(2, 30)
@@ -508,6 +509,23 @@ def test_pcst_approx_matches_reference_moat_growth():
         assert pcst_approx(m, terminals, pen, root) == _reference_pcst_approx(
             m, terminals, pen, root
         ), ("two penalties", i)
+    # Sparse graphs of 200-400 nodes, where each scan after a merge drops
+    # the edges the merge put inside a component.
+    rng = random.Random(59)
+    for i in range(12):
+        n = rng.randint(200, 400)
+        m = build_metric(random_graph(rng, n, extra_edges=n // 2))
+        root = rng.randrange(n)
+        terminals = set(rng.sample(range(n), rng.randint(n // 4, n)))
+        if i % 2:
+            terminals.add(root)
+        else:
+            terminals.discard(root)
+        same = rng.uniform(1.0, 20.0)
+        pen = {t: same if i % 4 < 2 else rng.uniform(0.0, 20.0) for t in terminals}
+        assert pcst_approx(m, terminals, pen, root) == _reference_pcst_approx(
+            m, terminals, pen, root
+        ), ("sparse", i)
 
 
 def _reference_kruskal(nodes, weighted_edges):
