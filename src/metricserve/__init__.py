@@ -9,7 +9,7 @@ Library layout:
   oracles for testing).
 - :mod:`metricserve.instance` -- request/instance model, JSON format,
   seeded generators.
-- :mod:`metricserve.config` -- shared numeric tolerances.
+- :mod:`metricserve.config` -- the shared numeric tolerance ``EPS``.
 - :mod:`metricserve.levels` -- integer levels with a bottom element.
 - :mod:`metricserve.walks` -- walk expansion, walk costs, tree tours.
 - :mod:`metricserve.engine` -- state both online engines share.

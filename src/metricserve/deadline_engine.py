@@ -1,11 +1,12 @@
 """Deadline-triggered online service runs.
 
-A run is a chronological event loop over request releases and deadlines.
-When a still-pending request's deadline arrives the engine performs an
+A run is a chronological event loop over request releases and deadlines,
+releases first at equal times and ties broken by request id.  When a
+still-pending request's deadline arrives the engine performs an
 instantaneous service: it fixes the service level three above the
 trigger's adjusted level, gathers eligible requests (adjusted level at
 most the service level), grows a Steiner tree over them in increasing
-deadline order until the tree cost reaches the budget ``4 * 2**level``,
+(deadline, id) order until the tree cost reaches the budget ``4 * 2**level``,
 tours the final tree depth-first, upgrades the unserved eligible
 requests one level above the service, and relocates to the trigger if
 the service was primary (adjusted level dictated by distance).
@@ -37,11 +38,10 @@ from dataclasses import asdict, dataclass
 
 from . import config
 from .engine import EngineCore, requests_doc
-from .instance import Instance, distinct_deadlines_normalize
+from .instance import Instance
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
 from .steiner import certificate_margin, steiner_approx
-from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
 __all__ = ["ServiceRecord", "DeadlineTrace", "DeadlineEngine", "run_deadline"]
 
@@ -148,13 +148,8 @@ class DeadlineEngine(EngineCore):
                 if tree.cost >= budget - config.EPS:
                     break
 
-        pts = space.points
-        tour = tree_dfs_nodes([(pts[u], pts[v]) for u, v in tree.tree_edges], trigger.point)
-        hops = [a] + tour + [a]
-        if primary:
-            hops.append(trigger.point)
-        walk = expand_hops(self.m, hops)
-        cost = walk_cost(self.m, walk)
+        tail = [a, trigger.point] if primary else [a]
+        walk, cost = self.service_walk(tree.tree_edges, trigger.point, tail)
 
         sid = self.serve(chosen, t)
         for rid in eligible:
@@ -185,13 +180,12 @@ def run_deadline(inst: Instance, request_regime: bool = False) -> DeadlineTrace:
     if inst.mode != "deadline":
         raise ValueError("run_deadline needs a deadline-mode instance")
     engine = DeadlineEngine(inst.metric, inst.server_start, request_regime=request_regime)
-    requests = distinct_deadlines_normalize(inst)
     events: list[tuple[float, int, int]] = []
-    for q in requests:
+    for q in inst.requests:
         events.append((q.release, 0, q.id))
         events.append((q.deadline, 1, q.id))
     events.sort()
-    by_id = {q.id: q for q in requests}
+    by_id = {q.id: q for q in inst.requests}
     for _, kind, qid in events:
         if kind == 0:
             engine.reveal(by_id[qid])

@@ -55,7 +55,6 @@ from .metric import MetricSpace, NumericRangeError
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
 from .steiner import PcstSolution, certificate_margin, pcst_approx
-from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
 __all__ = [
     "CriticalEvent",
@@ -282,12 +281,8 @@ class DelayEngine(EngineCore):
         for qid in unserved:
             self.upgrade(qid, service_level + 1)
 
-        tour = tree_dfs_nodes([(pts[u], pts[v]) for u, v in solution.tree_edges], a)
-        hops = list(tour)
-        if relocation is not None:
-            hops.append(relocation)
-        walk = expand_hops(self.m, hops)
-        movement = walk_cost(self.m, walk)
+        tail = [] if relocation is None else [relocation]
+        walk, movement = self.service_walk(solution.tree_edges, a, tail)
 
         sid = self.serve(served, t)
         if relocation is not None:
@@ -450,6 +445,7 @@ def run_delay(
     releases = sorted(inst.requests, key=lambda q: (q.release, q.id))
     idx = 0
     t = -math.inf
+    # the guard reads |Q|, yet it changes no trace unless it fires
     guard = 200 * (len(inst.requests) + 1)
     while True:
         guard -= 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 from .instance import DeadlineRequest, DelayRequest
 from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, min_level
 from .metric import MetricSpace, complete_graph_on
+from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
 __all__ = ["EngineCore", "requests_doc"]
 
@@ -89,6 +90,14 @@ class EngineCore:
                 complete_graph_on(self.m, self.released) if self.request_regime else self.m
             )
         return self._space
+
+    def service_walk(self, tree_edges, root: int, tail) -> tuple[list[int], float]:
+        """The walk from the server through the depth-first tour from ``root``
+        of ``tree_edges`` (node ids of ``space()``) and then ``tail``, and its cost."""
+        pts = self.space().points
+        tour = tree_dfs_nodes([(pts[u], pts[v]) for u, v in tree_edges], root)
+        walk = expand_hops(self.m, [self.position, *tour, *tail])
+        return walk, walk_cost(self.m, walk)
 
     def serve(self, qids, t: float) -> int:
         """Mark ``qids`` served at time ``t`` by the next service; return its id."""

@@ -30,7 +30,6 @@ __all__ = [
     "parse_instance",
     "serialize_instance",
     "generate",
-    "distinct_deadlines_normalize",
 ]
 
 
@@ -497,29 +496,3 @@ def delay_certification_chain(far_slope: float = 0.5) -> Instance:
         )
     return Instance(graph=graph, server_start=0, mode="delay", requests=tuple(requests))
 
-
-def distinct_deadlines_normalize(inst: Instance) -> tuple[DeadlineRequest, ...]:
-    """The requests with deadline ties broken by id order, offsets below eps/|Q|.
-
-    Within a tied group the lower id keeps the original deadline and each
-    subsequent member moves later by one offset step, so release <=
-    deadline is preserved.  Without ties this is ``inst.requests`` itself.
-    """
-    if inst.mode != "deadline":
-        raise ValueError("deadline normalization applies to deadline instances")
-    if not inst.requests:
-        return inst.requests
-    step = config.EPS / (len(inst.requests) + 1)
-    groups: dict[float, list[DeadlineRequest]] = {}
-    for q in inst.requests:
-        groups.setdefault(q.deadline, []).append(q)
-    if all(len(g) == 1 for g in groups.values()):
-        return inst.requests
-    replaced = {}
-    for deadline, group in groups.items():
-        for k, q in enumerate(sorted(group, key=lambda r: r.id)):
-            if k:
-                replaced[q.id] = DeadlineRequest(
-                    id=q.id, point=q.point, release=q.release, deadline=deadline + k * step
-                )
-    return tuple(replaced.get(q.id, q) for q in inst.requests)

@@ -162,16 +162,17 @@ def test_walk_steps_are_graph_edges():
             assert u == v or (min(u, v), max(u, v)) in edges
 
 
-def test_tied_deadlines_auto_normalized(path_graph):
+def test_tied_deadlines_fire_in_id_order(path_graph):
     inst = _deadline_instance(
         path_graph, 0, [(3, 2, 0.0, 5.0), (1, 1, 0.0, 5.0), (2, 2, 0.0, 5.0)]
     )
     trace = run_deadline(inst)
     assert len(trace.service_time) == 3
-    # the lowest tied id keeps the original deadline and fires first
+    # tied deadlines keep their input value; the lowest id fires first
     first = trace.services[0]
     assert first.trigger_id == 1
-    assert first.time == 5.0
+    assert set(trace.service_time.values()) == {5.0}
+    assert {(s.time, s.forwarding_time) for s in trace.services} == {(5.0, 5.0)}
 
 
 def test_zero_width_window(path_graph):

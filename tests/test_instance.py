@@ -1,8 +1,7 @@
-"""Instance model: parsing, serialization round-trips, generation, normalization."""
+"""Instance model: parsing, serialization round-trips, generation."""
 
 import json
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,6 @@ from metricserve.instance import (
     InstanceFormatError,
     certification_chain,
     delay_certification_chain,
-    distinct_deadlines_normalize,
     generate,
     investment_star,
     parse_instance,
@@ -239,51 +237,6 @@ def test_non_finite_numbers_refused_in_memory(build, x):
     int too large for a float is refused too, not an OverflowError."""
     with pytest.raises(InstanceFormatError, match="finite"):
         build(x)
-
-
-def test_normalize_no_ties_is_identity():
-    inst = generate(seed=9, n_points=5, n_requests=6, mode="deadline")
-    assert distinct_deadlines_normalize(inst) is inst.requests
-
-
-def test_normalize_breaks_tie_by_id():
-    g = WeightedGraph(node_count=2, edges=((0, 1, 1.0),))
-    reqs = (
-        DeadlineRequest(id=5, point=0, release=0.0, deadline=4.0),
-        DeadlineRequest(id=2, point=1, release=0.0, deadline=4.0),
-    )
-    inst = Instance(graph=g, server_start=0, mode="deadline", requests=reqs)
-    normed = distinct_deadlines_normalize(inst)
-    by_id = {q.id: q for q in normed}
-    assert by_id[2].deadline < by_id[5].deadline
-    assert by_id[2].deadline == 4.0
-
-
-def test_normalize_makes_deadlines_distinct():
-    rng = random.Random(123)
-    for _ in range(1000):
-        n = rng.randint(1, 8)
-        g = WeightedGraph(
-            node_count=n, edges=tuple((i, i + 1, 1.0) for i in range(n - 1))
-        )
-        reqs = []
-        for i in range(rng.randint(0, 8)):
-            rel = rng.choice([0.0, 1.0, 2.0])
-            reqs.append(
-                DeadlineRequest(
-                    id=i,
-                    point=rng.randrange(n),
-                    release=rel,
-                    deadline=rel + rng.choice([1.0, 2.0, 3.0]),
-                )
-            )
-        inst = Instance(graph=g, server_start=0, mode="deadline", requests=tuple(reqs))
-        normed = distinct_deadlines_normalize(inst)
-        deadlines = [q.deadline for q in normed]
-        assert len(set(deadlines)) == len(deadlines)
-        for q0, q1 in zip(inst.requests, normed):
-            assert q1.release <= q1.deadline
-            assert abs(q1.deadline - q0.deadline) < 1e-9
 
 
 def test_mode_mismatch_rejected():
