@@ -9,7 +9,8 @@ and deadline instances, an ``investment_star`` and a tenth-weight star
 whose moat growth meets near-ties (two of the deadline inputs have a
 service whose Steiner growth stops before the last eligible request), and ``opt`` traces of seeded instances at the oracle
 sizes of the ``verify-oracle`` workload and of two near-tie delay
-families (``FAMILY``).  Those inputs are stored under
+families (``FAMILY``), and every trace of one deadline input whose
+deadlines tie (``SEEDED_TIED``).  Those inputs are stored under
 ``tests/golden/instances/`` so the gate does not depend on the
 generator.  ``tests/golden/charge-report/`` holds the full
 ``ChargeReport`` JSON of the default-regime run (``verify`` prints only
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import random
 import sys
 import tempfile
@@ -37,6 +39,7 @@ from pathlib import Path
 from metricserve import cli
 from metricserve.analysis import charge_report
 from metricserve.instance import (
+    DeadlineRequest,
     DelayFunction,
     DelayRequest,
     Instance,
@@ -170,6 +173,24 @@ SEEDED_FAMILY = [
     ("close-release", 596211508),
 ]
 
+def tied_deadline_instance(seed: int) -> Instance:
+    """A seeded deadline instance (6-10 points, 8-10 requests) with every
+    deadline rounded up to a multiple of 5, so deadlines tie: tied
+    services fire at the input deadline, in request-id order."""
+    rng = random.Random(seed)
+    inst = generate(seed=rng.randrange(10**9), n_points=rng.randint(6, 10),
+                    n_requests=rng.randint(8, 10), mode="deadline")
+    requests = tuple(
+        DeadlineRequest(q.id, q.point, q.release, 5.0 * math.ceil(q.deadline / 5.0))
+        for q in inst.requests
+    )
+    return Instance(inst.graph, inst.server_start, "deadline", requests)
+
+
+# seeds of tied_deadline_instance whose run, request-regime run, opt and
+# charge-report goldens are kept; seed 104 fires two services at 20.0
+SEEDED_TIED = [104]
+
 # command name -> extra CLI arguments
 COMMANDS = {
     "run": ["run"],
@@ -212,6 +233,8 @@ def stored_instances() -> dict[str, Instance]:
     out[f"tenth_weight_star-{TENTH_STAR_LEAVES}"] = tenth_weight_star(TENTH_STAR_LEAVES)
     for family, seed in SEEDED_FAMILY:
         out[f"delay-{family}-s{seed}"] = FAMILY[family](seed)
+    for seed in SEEDED_TIED:
+        out[f"deadline-tied-s{seed}"] = tied_deadline_instance(seed)
     return out
 
 
@@ -239,6 +262,11 @@ def cases() -> list[tuple[str, Path]]:
         for spec in SEEDED_OPT + SEEDED_RUN
     ]
     out += [(CHARGE_REPORT, INSTANCES / f"investment_star-{STAR_LEAVES}.json")]
+    out += [
+        (command, INSTANCES / f"deadline-tied-s{seed}.json")
+        for seed in SEEDED_TIED
+        for command in [*COMMANDS, CHARGE_REPORT]
+    ]
     return out
 
 
