@@ -6,7 +6,7 @@ still-pending request's deadline arrives the engine performs an
 instantaneous service: it fixes the service level three above the
 trigger's adjusted level, gathers eligible requests (adjusted level at
 most the service level), grows a Steiner tree over them in increasing
-(deadline, id) order until the tree cost reaches the budget ``4 * 2**level``,
+deadline order until the tree cost reaches the budget ``4 * 2**level``,
 tours the final tree depth-first, upgrades the unserved eligible
 requests one level above the service, and relocates to the trigger if
 the service was primary (adjusted level dictated by distance).

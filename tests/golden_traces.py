@@ -173,6 +173,7 @@ SEEDED_FAMILY = [
     ("close-release", 596211508),
 ]
 
+
 def tied_deadline_instance(seed: int) -> Instance:
     """A seeded deadline instance (6-10 points, 8-10 requests) with every
     deadline rounded up to a multiple of 5, so deadlines tie: tied
