@@ -10,6 +10,16 @@ set depends only on the set (it is the maximum release), so a bitmask DP
 over (served set, last request) with min movement cost is exact; it is
 cross-checked against permutation brute force in the tests.
 
+Dead states
+-----------
+A served set is dead when a request outside it has ``deadline + EPS``
+before the set's completion.  Visits only get later, so that request is
+never served: a successor either adds it and fails the deadline test,
+or leaves it out and is dead too.  So a live set takes candidates only
+from live sets, and the DP drops dead sets without changing a live cost
+or parent.  Between live sets the deadline test holds by itself, since
+no request is released after its deadline.
+
 Delay mode
 ----------
 Batch-shift lemma: take any solution and any service batch, and move the
@@ -30,9 +40,14 @@ the trace.  The reference order is the scalar push loop: masks, then
 ``last``, then ``nxt``, all ascending.  A target ``(mask | 1 << nxt,
 nxt)`` has one predecessor mask, and popcount layer p writes only into
 layer p + 1, so the push loop offers each target its candidates by
-``last`` ascending.  The numpy tables pull in that order: per layer they
-list every target and sweep ``last = 0 .. k-1`` under the same strict
-rule, giving the same cost and parent tables.
+``last`` ascending.  The numpy tables pull in that order: per layer each
+target's candidates form one row, ``last = 0 .. k-1``, with the same
+float additions, and the row takes its first minimum.  That is the
+scalar rule's choice unless a value other than the minimum lies at most
+1e-15 above it: every incumbent before the first minimum is more than
+1e-15 dearer, so it yields, and no later value, an exact copy or dearer,
+is cheaper by more than 1e-15.  A row with such a close rival is
+replayed by the scalar rule, and a row of infinite costs keeps no parent.
 
 ``opt_delay`` builds one such table per instance, from every walk start
 at once over the masks of the distinct request points: a batch's own DP
@@ -40,14 +55,12 @@ reads only its points, in the same ascending order, so each entry is
 what that batch computes alone.  The outer DP goes one release event at
 a time.  It lists every ``(state, batch, end)`` candidate in the scalar
 loop's order (states as created, batches descending, ends ascending),
-and each target ``(end, served)`` takes the first of its cheapest
-candidates.  That is the scalar rule's choice whenever every other
-candidate is more than 1e-15 dearer in floats: the winner displaces
-whatever came before it and nothing after displaces it.  A target with
-a closer rival is replayed by the scalar rule.  A new state takes its
-place at its target's first finite candidate, where the scalar loop
-creates it; a candidate of infinite cost (a request released within
-``EPS`` after the event) creates nothing.
+and each target ``(end, served)``, a slot of a dense table, takes the
+first of its cheapest candidates under the same rule, with the same
+replay.  A new state takes its place at its target's first finite
+candidate, where the scalar loop creates it; a candidate of infinite
+cost (a request released within ``EPS`` after the event) creates
+nothing.
 """
 
 from __future__ import annotations
@@ -162,6 +175,27 @@ def _walk_order(parent: np.ndarray, pts: list, s: int, mask: int, last: int) -> 
     return order[::-1]
 
 
+def _scalar_min(values: list[float]) -> tuple[float, int]:
+    """The value and index that a scalar loop keeps when it replaces its
+    incumbent only if cheaper by more than 1e-15; (inf, -1) if none is finite."""
+    best, arg = math.inf, -1
+    for i, c in enumerate(values):
+        if c < best - 1e-15:
+            best, arg = c, i
+    return best, arg
+
+
+def _row_winners(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_scalar_min`` of every row of ``cand``: the first minimum, except in rows
+    where another value lies at most 1e-15 above it (or none is finite), replayed."""
+    arg = cand.argmin(1)
+    best = cand[np.arange(len(cand)), arg]
+    rival = np.where(cand == best[:, None], np.inf, cand).min(1, initial=np.inf)
+    for r in np.flatnonzero(~(best < rival - 1e-15)):
+        best[r], arg[r] = _scalar_min(cand[r].tolist())
+    return best, arg
+
+
 # ---------------------------------------------------------------------------
 # deadline mode
 # ---------------------------------------------------------------------------
@@ -184,30 +218,24 @@ def opt_deadline(inst: Instance) -> OptTrace:
     point = [q.point for q in reqs]
     d = m.dist[np.ix_(point, point)]
 
-    # completion[mask] = max(releases in mask), -inf for the empty mask
-    completion = np.full(1, -np.inf)
+    # completion[mask] = max(releases in mask), -inf for the empty mask, and
+    # due[mask] = min(deadline + EPS outside mask): mask is live if it completes by then
+    completion, due = np.full(1, -np.inf), np.full(1, np.inf)
     for i in range(k):
         completion = np.concatenate([completion, np.maximum(completion, release[i])])
+        due = np.concatenate([np.minimum(due, deadline[i] + config.EPS), due])
+    live = completion <= due
     bit = 1 << np.arange(k)
 
-    # by popcount layer: cost[r] is masks[r]'s row; unreached masks (all inf) are left out
+    # by popcount layer: cost[r] is masks[r]'s row; unreached and dead masks are left out
     parent = np.full((1 << k, k), -1, dtype=np.int8)
-    # the first visit happens at max(release_i, -inf) = release_i
-    first = np.flatnonzero(release <= deadline + config.EPS)
+    first = np.flatnonzero(live[bit])
     masks = bit[first]
     cost = np.full((len(first), k), np.inf)
     cost[np.arange(len(first)), first] = m.dist[inst.server_start, point][first]
     for _ in range(1, k):
-        ok = (masks[:, None] & bit) == 0
-        ok &= np.maximum(completion[masks][:, None], release) <= deadline + config.EPS
-        row, nxt = np.nonzero(ok)
-        best = np.full(len(row), np.inf)
-        arg = np.full(len(row), -1, dtype=np.int8)
-        for last in range(k):
-            cand = cost[row, last] + d[last, nxt]
-            better = cand < best - 1e-15
-            best = np.where(better, cand, best)
-            arg = np.where(better, last, arg)
+        row, nxt = np.nonzero(((masks[:, None] & bit) == 0) & live[masks[:, None] | bit])
+        best, arg = _row_winners(cost[row] + d.T[nxt])
         tgt = masks[row] | bit[nxt]
         parent[tgt, nxt] = arg
         masks, at = np.unique(tgt, return_inverse=True)
@@ -263,42 +291,29 @@ def _walk_table(m: MetricSpace, starts: list[int], pts: list[int]):
     cost[:, bit, np.arange(p)] = m.dist[np.ix_(starts, pts)]
     for size in range(2, p + 1):
         tgt, nxt = np.nonzero(inside & (inside.sum(1) == size)[:, None])
-        prev = tgt ^ bit[nxt]
-        best = np.full((ns, len(tgt)), np.inf)
-        arg = np.full(best.shape, -1, dtype=np.int8)
-        for last in range(p):
-            cand = cost[:, prev, last] + d[last, nxt]
-            better = cand < best - 1e-15
-            best = np.where(better, cand, best)
-            arg = np.where(better, last, arg)
-        cost[:, tgt, nxt] = best
-        parent[:, tgt, nxt] = arg
+        best, arg = _row_winners((cost[:, tgt ^ bit[nxt], :p] + d.T[nxt]).reshape(-1, p))
+        cost[:, tgt, nxt] = best.reshape(ns, -1)
+        parent[:, tgt, nxt] = arg.reshape(ns, -1)
     return cost, parent, inside
 
 
-def _scalar_winners(tid: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each target with a finite candidate: the candidate that a scalar
-    loop over candidates in index order keeps, replacing only if cheaper by
-    more than 1e-15, and the target's first finite candidate."""
-    n = len(cost)
-    grp = np.argsort(tid, kind="stable")
-    cs = cost[grp]
-    head = np.flatnonzero(np.diff(tid[grp], prepend=-1))
-    tail = np.append(head[1:], n)
-    at = np.arange(n)
-    low = np.minimum.reduceat(cs, head)
-    win = np.minimum.reduceat(np.where(cs == np.repeat(low, tail - head), at, n), head)
-    rest = cs.copy()
-    rest[win] = np.inf
+def _scalar_winners(tid: np.ndarray, cost: np.ndarray, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each target in ``range(slots)`` with a finite candidate: the
+    candidate that ``_scalar_min`` keeps over its candidates in index order,
+    and the target's first finite candidate."""
+    at = np.arange(len(cost))
+    low, rival = np.full(slots, np.inf), np.full(slots, np.inf)
+    win, first = np.full(slots, len(at)), np.full(slots, len(at))
+    np.minimum.at(low, tid, cost)
+    tie = cost == low[tid]
+    np.minimum.at(win, tid, np.where(tie, at, len(at)))
+    np.minimum.at(rival, tid, np.where(tie, np.inf, cost))
+    np.minimum.at(first, tid, np.where(cost < np.inf, at, len(at)))
     keep = low < np.inf
-    # the first minimum wins unless another candidate lies within 1e-15 of it
-    for g in np.flatnonzero(keep & ~(low < np.minimum.reduceat(rest, head) - 1e-15)):
-        best = math.inf
-        for i, c in enumerate(cs[head[g]:tail[g]].tolist(), start=head[g]):
-            if c < best - 1e-15:
-                best, win[g] = c, i
-    first = np.minimum.reduceat(np.where(cs < np.inf, at, n), head)
-    return grp[win[keep]], grp[first[keep]]
+    for g in np.flatnonzero(keep & ~(low < rival - 1e-15)):
+        group = np.flatnonzero(tid == g)
+        win[g] = group[_scalar_min(cost[group].tolist())[1]]
+    return win[keep], first[keep]
 
 
 def opt_delay(inst: Instance) -> OptTrace:
@@ -326,13 +341,11 @@ def opt_delay(inst: Instance) -> OptTrace:
     table, parent, inside = _walk_table(m, starts, pts)
     # per request subset: its batch's point mask, and its delay at each
     # event summed over ascending i from 0
-    subs = np.arange(1 << k)
-    pmask = np.zeros(1 << k, dtype=np.int64)
-    extra = np.zeros((1 << k, n_ev))
+    pmask, extra = np.zeros(1, np.int64), np.zeros((1, n_ev))
     for i, q in enumerate(reqs):
-        has = (subs >> i & 1) == 1
-        pmask[has] |= 1 << pts.index(q.point)
-        extra = np.where(has[:, None], extra + delay_at[i], extra)
+        pmask = np.concatenate([pmask, pmask | 1 << pts.index(q.point)])
+        extra = np.concatenate([extra, extra + delay_at[i]])
+    subs = np.arange(1 << k)
     # walk ends per point mask: its points, or column p (stay) for the empty one
     ends = np.column_stack([inside, ~inside.any(1)])
 
@@ -350,7 +363,7 @@ def opt_delay(inst: Instance) -> OptTrace:
         start = loc[st]
         end = np.where(end == len(pts), start, end)
         c = (cost[st] + table[start, pmask[sub], end]) + extra[sub, j]
-        win, first = _scalar_winners(end << k | served[st] | sub, c)
+        win, first = _scalar_winners(end << k | served[st] | sub, c, len(starts) << k)
         win = win[np.argsort(first)]
         back.append((st[win], sub[win], start[win], end[win]))
         loc, served, cost = end[win], served[st[win]] | sub[win], c[win]

@@ -193,26 +193,28 @@ def piecewise_value(breakpoints, final_slope, t: float) -> float:
 
 
 def opt_deadline_bruteforce(m: MetricSpace, inst: Instance) -> float:
-    """Minimum movement over all request permutations (greedy visit times)."""
+    """Minimum movement over all request permutations (greedy visit times).
+
+    Permutations are enumerated depth first in lexicographic order, and a
+    prefix with a late visit is dropped with every order that extends it:
+    each feasible order is still costed in full, visit by visit."""
     reqs = inst.requests
     if not reqs:
         return 0.0
     best = math.inf
-    for order in itertools.permutations(range(len(reqs))):
-        t = -math.inf
-        pos = inst.server_start
-        cost = 0.0
-        ok = True
-        for i in order:
+
+    def extend(left: tuple[int, ...], t: float, pos: int, cost: float) -> None:
+        nonlocal best
+        if not left:
+            best = min(best, cost)
+        for i in left:
             q = reqs[i]
-            t = max(t, q.release)
-            if t > q.deadline + 1e-9:
-                ok = False
-                break
-            cost += m.distance(pos, q.point)
-            pos = q.point
-        if ok and cost < best:
-            best = cost
+            visit = max(t, q.release)
+            if visit <= q.deadline + 1e-9:
+                rest = tuple(j for j in left if j != i)
+                extend(rest, visit, q.point, cost + m.distance(pos, q.point))
+
+    extend(tuple(range(len(reqs))), -math.inf, inst.server_start, 0.0)
     return best
 
 

@@ -3,8 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metricserve import config
 from metricserve.deadline_engine import run_deadline
 from metricserve.instance import DeadlineRequest, DelayFunction, DelayRequest, Instance, generate
 from metricserve.metric import WeightedGraph, build_metric
@@ -12,6 +16,8 @@ from metricserve.offline_oracle import (
     _DEADLINE_CAP,
     _DELAY_CAP,
     OracleCapError,
+    _row_winners,
+    _scalar_winners,
     _walk_order,
     _walk_table,
     opt_deadline,
@@ -322,3 +328,137 @@ def test_walk_table_matches_reference_walks():
                     if mask >> e & 1:
                         order = tuple(_walk_order(parent, pts, s, mask, e))
                         assert order == reference.order(start, batch, end)
+
+
+# the 1e-15 rule in numpy: first minima, with near ties replayed
+
+
+def _scalar_rule(values) -> tuple[float, int]:
+    """The rule as the scalar DPs apply it: the incumbent changes only for
+    a value cheaper by more than 1e-15."""
+    best, arg = math.inf, -1
+    for i, c in enumerate(values):
+        if c < best - 1e-15:
+            best, arg = c, i
+    return best, arg
+
+
+def _assert_row_winners(rows):
+    best, arg = _row_winners(np.array(rows, dtype=float))
+    assert list(zip(best.tolist(), arg.tolist())) == [_scalar_rule(row) for row in rows]
+
+
+def _assert_scalar_winners(tid, cost):
+    """Each target's candidates in index order: the kept one and the first finite one."""
+    slots = max(tid, default=0) + 1
+    win, first = _scalar_winners(np.array(tid, dtype=np.int64), np.array(cost), slots)
+    want_win, want_first = [], []
+    for g in range(slots):
+        group = [i for i, t in enumerate(tid) if t == g]
+        _, at = _scalar_rule([cost[i] for i in group])
+        if at != -1:
+            want_win.append(group[at])
+            want_first.append(next(i for i in group if cost[i] < math.inf))
+    assert win.tolist() == want_win and first.tolist() == want_first
+
+
+_NEAR = 0.1 + 0.2  # one ulp above 0.3
+_HAND_ROWS = [
+    [2.0, 1.0, 1.0],  # exact tie: the first copy
+    [_NEAR, 0.3, math.inf],  # 0.3 is not cheaper by more than 1e-15
+    [0.3, _NEAR, 1.0],
+    [_NEAR, 5.0, 0.3],  # a near tie placed before the minimum
+    [math.inf, 2.0, math.inf],
+    [math.inf, math.inf, math.inf],  # no candidate: column -1
+]
+
+
+def test_row_winners_follow_the_scalar_rule():
+    best, arg = _row_winners(np.array(_HAND_ROWS))
+    assert arg.tolist() == [1, 0, 0, 0, 1, -1]
+    assert best.tolist() == [1.0, _NEAR, 0.3, _NEAR, 2.0, math.inf]
+    _assert_row_winners(_HAND_ROWS)
+
+
+def test_scalar_winners_follow_the_scalar_rule():
+    """The hand rows as targets, their candidates interleaved: the all-inf
+    target is left out."""
+    cells = [(r, c) for c in range(3) for r, row in enumerate(_HAND_ROWS)]
+    win, first = _scalar_winners(np.array([r for r, _ in cells]),
+                                 np.array([_HAND_ROWS[r][c] for r, c in cells]), 8)
+    assert [cells[i] for i in win] == [(0, 1), (1, 0), (2, 0), (3, 0), (4, 1)]
+    assert [cells[i] for i in first] == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 1)]
+    _assert_scalar_winners([r for r, _ in cells], [_HAND_ROWS[r][c] for r, c in cells])
+
+
+_TIE_VALUES = st.sampled_from([0.3, _NEAR, 1.0, math.inf])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.lists(_TIE_VALUES, min_size=k, max_size=k),
+                                                    min_size=1, max_size=8)))
+def test_row_winners_match_the_scalar_rule_on_near_ties(rows):
+    _assert_row_winners(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 4), _TIE_VALUES), max_size=24))
+def test_scalar_winners_match_the_scalar_rule_on_near_ties(candidates):
+    _assert_scalar_winners([t for t, _ in candidates], [c for _, c in candidates])
+
+
+# deadline inputs where the 1e-15 rule and the dead-state prune decide
+
+
+def _tenth_weight_deadline(seed: int, k: int) -> Instance:
+    """Tenth edge weights, so walks tie up to rounding, and windows of 0-11
+    from integer releases, some moved ``EPS`` later: a served set completes
+    at another request's deadline, or exactly at its deadline + ``EPS``."""
+    rng = random.Random(seed)
+    inst = generate(seed=rng.randrange(10**9), n_points=rng.randint(3, 10),
+                    n_requests=k, mode="deadline")
+    edges = tuple((u, v, 0.1 * rng.randrange(1, 6)) for u, v, _ in inst.graph.edges)
+    reqs = []
+    for q in inst.requests:
+        release = rng.randrange(40) + rng.choice([0.0, config.EPS])
+        reqs.append((q.id, q.point, release, release + rng.randrange(12)))
+    return _deadline_instance(WeightedGraph(inst.graph.node_count, edges), inst.server_start, reqs)
+
+
+def _short_window_deadline(seed: int, k: int) -> Instance:
+    """Releases spread over the generator's horizon, each window at most 6
+    long, so most served sets leave a request already past its deadline."""
+    rng = random.Random(seed)
+    inst = generate(seed=rng.randrange(10**9), n_points=rng.randint(3, 10),
+                    n_requests=k, mode="deadline")
+    return _deadline_instance(inst.graph, inst.server_start, [
+        (q.id, q.point, q.release, q.release + rng.uniform(0.0, 6.0)) for q in inst.requests
+    ])
+
+
+def _dead_share(inst: Instance) -> float:
+    """Share of served sets that leave some request past its deadline."""
+    reqs = inst.requests
+    dead = 0
+    for mask in range(1 << len(reqs)):
+        done = max((q.release for i, q in enumerate(reqs) if mask >> i & 1), default=-math.inf)
+        dead += any(q.deadline + config.EPS < done for i, q in enumerate(reqs) if not mask >> i & 1)
+    return dead / (1 << len(reqs))
+
+
+@pytest.mark.parametrize("family", [_tenth_weight_deadline, _short_window_deadline],
+                         ids=["tenth-weight", "short-window"])
+def test_opt_deadline_matches_reference_and_bruteforce_on_dead_states(family):
+    """Every request count up to the cap, twice: the trace equals the
+    scalar reference's and the movement the brute force's.  At 12
+    requests most served sets are dead, so the prune decides what is left."""
+    rng = random.Random(127)
+    for k in range(_DEADLINE_CAP + 1):
+        for _ in range(2):
+            inst = family(rng.randrange(10**9), k)
+            trace = opt_deadline(inst)
+            assert trace.to_json() == opt_deadline_reference(inst).to_json()
+            assert trace.movement_cost == pytest.approx(
+                opt_deadline_bruteforce(build_metric(inst.graph), inst), abs=1e-9)
+            if k == _DEADLINE_CAP:
+                assert _dead_share(inst) > 0.9
