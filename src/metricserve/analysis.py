@@ -22,14 +22,12 @@ evaluated numerically, each reported with both sides and a verdict:
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import config
-from .deadline_engine import DeadlineTrace
-from .delay_engine import DelayTrace
-from .instance import Instance
+from .engine import EngineTrace
+from .instance import Instance, write_doc
 from .levels import ceil_log2, min_level
 from .metric import (
     Ball,
@@ -56,8 +54,6 @@ __all__ = [
     "default_rho_certified",
 ]
 
-Trace = DeadlineTrace | DelayTrace
-
 
 def default_rho_primary(m: MetricSpace, mode: str) -> float:
     return (2.0**6 if mode == "deadline" else 2.0**9) * m.n**2
@@ -83,7 +79,7 @@ class Classification:
         return self.certifier_lists[sid][0]
 
 
-def classify(trace: Trace) -> Classification:
+def classify(trace: EngineTrace) -> Classification:
     """Replay level assignments to recover witness and certifier structure.
 
     A request witnesses the service that last raised its level.  A
@@ -146,7 +142,7 @@ class Cylinder:
 
 
 def build_primary_cylinders(
-    inst: Instance, trace: Trace, opt: OptTrace | None = None
+    inst: Instance, trace: EngineTrace, opt: OptTrace | None = None
 ) -> list[Cylinder]:
     """One cylinder per qualifying primary service.
 
@@ -199,7 +195,7 @@ def build_primary_cylinders(
 
 
 def build_certified_cylinders(
-    inst: Instance, trace: Trace, classification: Classification | None = None
+    inst: Instance, trace: EngineTrace, classification: Classification | None = None
 ) -> list[Cylinder]:
     """Certified cylinders: triple-radius balls over [ptime, forwarding time].
 
@@ -315,13 +311,7 @@ class CheckRecord:
     passed: bool
 
     def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "subject": self.subject,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -348,7 +338,7 @@ class ChargeReport:
             "all_pass": self.all_pass,
             "checks": [c.to_doc() for c in self.checks],
         }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return write_doc(doc)
 
 
 def _pdchg(s, opt: OptTrace) -> float:
@@ -360,10 +350,9 @@ def _pdchg(s, opt: OptTrace) -> float:
     )
 
 
-def _cdchg(inst: Instance, s, opt: OptTrace) -> float:
+def _cdchg(by_id: dict, s, opt: OptTrace) -> float:
     """Forwarded-delay penalties of eligible requests the optimum had not
     served by the forwarding time."""
-    by_id = {q.id: q for q in inst.requests}
     total = 0.0
     for qid in s.eligible_ids:
         if opt.service_time[qid] < s.forwarding_time - config.EPS:
@@ -374,7 +363,9 @@ def _cdchg(inst: Instance, s, opt: OptTrace) -> float:
     return total
 
 
-def charge_report(inst: Instance, trace: Trace, opt: OptTrace | None = None) -> ChargeReport:
+def charge_report(
+    inst: Instance, trace: EngineTrace, opt: OptTrace | None = None
+) -> ChargeReport:
     """Evaluate every structural inequality a trace is supposed to satisfy.
 
     Without an optimum trace only the classification and disjointness
@@ -462,7 +453,7 @@ def charge_report(inst: Instance, trace: Trace, opt: OptTrace | None = None) -> 
         elif mode == "deadline":
             kind, lhs, rhs = "certified-intersection", ccap, 2.0 ** (s.level - 1)
         else:
-            kind, lhs = "certified-intersection-plus-cdchg", 2.0 * ccap + _cdchg(inst, s, opt)
+            kind, lhs = "certified-intersection-plus-cdchg", 2.0 * ccap + _cdchg(by_id, s, opt)
             rhs = 2.0**s.level
         report.add(kind, f"service {s.service_id}", lhs, rhs, ge=True)
 
@@ -491,7 +482,7 @@ def charge_report(inst: Instance, trace: Trace, opt: OptTrace | None = None) -> 
             if delay_charges and mode == "delay":
                 for cyl in group:
                     s = trace.services[cyl.service_id]
-                    total += _pdchg(s, opt) if cyl.kind == "primary" else _cdchg(inst, s, opt)
+                    total += _pdchg(s, opt) if cyl.kind == "primary" else _cdchg(by_id, s, opt)
                 bound = opt.total_cost
             report.add(f"{label}-aggregate", f"class {i}", total, bound, ge=False)
     return report

@@ -16,7 +16,6 @@ import csv
 import functools
 import glob as globlib
 import io
-import json
 import math
 import sys
 from pathlib import Path
@@ -25,7 +24,8 @@ from . import config
 from .analysis import charge_report, classify
 from .deadline_engine import run_deadline
 from .delay_engine import run_delay
-from .instance import Instance, InstanceFormatError, generate, parse_instance, serialize_instance
+from .instance import Instance, InstanceFormatError, generate, parse_instance
+from .instance import serialize_instance, write_doc
 from .metric import DisconnectedGraphError, NumericRangeError
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .offline_oracle import OracleCapError, opt_deadline, opt_delay
@@ -61,7 +61,7 @@ def _write(path: str, text: str, newline: str | None = None) -> None:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=1))
+    sys.stdout.write(write_doc(doc))
 
 
 def _cmd_generate(args) -> int:

@@ -32,18 +32,17 @@ the trigger, back to the start, then the optional relocation hop.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 from . import config
-from .engine import EngineCore, requests_doc
+from .engine import EngineCore, EngineTrace
 from .instance import Instance
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
 from .steiner import certificate_margin, steiner_approx
 
-__all__ = ["ServiceRecord", "DeadlineTrace", "DeadlineEngine", "run_deadline"]
+__all__ = ["ServiceRecord", "DeadlineEngine", "run_deadline"]
 
 
 @dataclass(frozen=True)
@@ -63,26 +62,6 @@ class ServiceRecord:
 
     def to_doc(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class DeadlineTrace:
-    mode: str
-    services: tuple[ServiceRecord, ...]
-    service_time: dict[int, float]
-    serving_service: dict[int, int]
-    total_cost: float
-    final_position: int
-
-    def to_json(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "total_cost": self.total_cost,
-            "final_position": self.final_position,
-            "services": [s.to_doc() for s in self.services],
-            "requests": requests_doc(self.service_time, self.serving_service),
-        }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 class DeadlineEngine(EngineCore):
@@ -175,7 +154,7 @@ class DeadlineEngine(EngineCore):
         return record
 
 
-def run_deadline(inst: Instance, request_regime: bool = False) -> DeadlineTrace:
+def run_deadline(inst: Instance, request_regime: bool = False) -> EngineTrace:
     """Run the full event loop; every request is served by its deadline."""
     if inst.mode != "deadline":
         raise ValueError("run_deadline needs a deadline-mode instance")
@@ -193,11 +172,4 @@ def run_deadline(inst: Instance, request_regime: bool = False) -> DeadlineTrace:
             engine.upon_deadline(qid)
     assert not engine.pending
     total = math.fsum(r.cost for r in engine.records)
-    return DeadlineTrace(
-        mode="deadline",
-        services=tuple(engine.records),
-        service_time=dict(engine.service_time),
-        serving_service=dict(engine.serving_service),
-        total_cost=total,
-        final_position=engine.position,
-    )
+    return EngineTrace(mode="deadline", total_cost=total, **engine.trace_fields())

@@ -41,7 +41,6 @@ bisects inside the first crossing segment.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, fields
 from itertools import compress
@@ -49,7 +48,7 @@ from itertools import compress
 import numpy as np
 
 from . import config
-from .engine import EngineCore, requests_doc
+from .engine import EngineCore, EngineTrace
 from .instance import DelayRequest, Instance
 from .metric import MetricSpace, NumericRangeError
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
@@ -61,7 +60,6 @@ __all__ = [
     "DelayServiceRecord",
     "DelayTrace",
     "DelayEngine",
-    "NumericRangeError",
     "run_delay",
 ]
 
@@ -106,33 +104,12 @@ class DelayServiceRecord:
 
 
 @dataclass(frozen=True)
-class DelayTrace:
-    mode: str
-    services: tuple[DelayServiceRecord, ...]
-    service_time: dict[int, float]
-    serving_service: dict[int, int]
+class DelayTrace(EngineTrace):
     movement_cost: float
     delay_cost: float
-    total_cost: float
     counters: dict[int, float]
-    final_position: int
     horizon_exhausted: bool
     pending_ids: tuple[int, ...]
-
-    def to_json(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "movement_cost": self.movement_cost,
-            "delay_cost": self.delay_cost,
-            "total_cost": self.total_cost,
-            "final_position": self.final_position,
-            "horizon_exhausted": self.horizon_exhausted,
-            "pending_ids": list(self.pending_ids),
-            "counters": {str(k): v for k, v in sorted(self.counters.items())},
-            "services": [s.to_doc() for s in self.services],
-            "requests": requests_doc(self.service_time, self.serving_service),
-        }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 class DelayEngine(EngineCore):
@@ -483,14 +460,11 @@ def run_delay(
     assert counter_total >= 0
     return DelayTrace(
         mode="delay",
-        services=tuple(engine.records),
-        service_time=dict(engine.service_time),
-        serving_service=dict(engine.serving_service),
         movement_cost=movement,
         delay_cost=delay_cost,
         total_cost=movement + delay_cost,
         counters=dict(engine.counters),
-        final_position=engine.position,
         horizon_exhausted=exhausted,
         pending_ids=pending_ids,
+        **engine.trace_fields(),
     )

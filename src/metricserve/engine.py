@@ -19,12 +19,39 @@ releases in time order, so decisions cannot depend on the future.
 
 from __future__ import annotations
 
-from .instance import DeadlineRequest, DelayRequest
+from dataclasses import dataclass, fields
+
+from .instance import DeadlineRequest, DelayRequest, write_doc
 from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, min_level
 from .metric import MetricSpace, complete_graph_on
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
-__all__ = ["EngineCore", "requests_doc"]
+__all__ = ["EngineCore", "EngineTrace"]
+
+
+@dataclass(frozen=True)
+class EngineTrace:
+    """What a run returns; the delay engine's trace adds its own fields."""
+
+    mode: str
+    services: tuple
+    service_time: dict[int, float]
+    serving_service: dict[int, int]
+    total_cost: float
+    final_position: int
+
+    def to_json(self) -> str:
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}  # no deep copy, unlike asdict
+        times, sids = doc.pop("service_time"), doc.pop("serving_service")
+        for name, value in doc.items():
+            if isinstance(value, dict):  # counters: int keys would sort as numbers
+                doc[name] = {str(k): v for k, v in value.items()}
+        doc["services"] = [s.to_doc() for s in self.services]
+        doc["requests"] = {
+            str(qid): {"service_time": t, "serving_service": sids[qid]}
+            for qid, t in times.items()
+        }
+        return write_doc(doc)
 
 
 class EngineCore:
@@ -108,10 +135,11 @@ class EngineCore:
             self.serving_service[qid] = sid
         return sid
 
-
-def requests_doc(service_time: dict[int, float], serving_service: dict[int, int]) -> dict:
-    """The trace's ``requests`` block: when and by which service each request was served."""
-    return {
-        str(qid): {"service_time": service_time[qid], "serving_service": serving_service[qid]}
-        for qid in sorted(service_time)
-    }
+    def trace_fields(self) -> dict:
+        """The fields of the run's ``EngineTrace`` read off the final state."""
+        return {
+            "services": tuple(self.records),
+            "service_time": dict(self.service_time),
+            "serving_service": dict(self.serving_service),
+            "final_position": self.position,
+        }

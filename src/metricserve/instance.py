@@ -29,6 +29,7 @@ __all__ = [
     "InstanceFormatError",
     "parse_instance",
     "serialize_instance",
+    "write_doc",
     "generate",
 ]
 
@@ -297,7 +298,14 @@ def parse_instance(text: str) -> Instance:
     )
 
 
-# one value per line, as json.dumps(doc, sort_keys=True, indent=1) writes them
+def write_doc(doc: dict) -> str:
+    """The text of every JSON document the package writes: sorted keys, one
+    value per line, a trailing newline.  Keys must be strings: json sorts
+    int keys as numbers ("2" before "10"), strings as text."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+# one value per line, as write_doc writes them
 _EDGE = "   [\n    %d,\n    %d,\n    %r\n   ]"
 _BREAKPOINT = "     [\n      %r,\n      %r\n     ]"
 _DEADLINE = '  {\n   "deadline": %r,\n   "id": %d,\n   "point": %d,\n   "release": %r\n  }'
@@ -316,8 +324,8 @@ def _json_list(items: list[str], indent: str) -> str:
 
 
 def serialize_instance(inst: Instance) -> str:
-    """The document ``parse_instance`` reads, as the text of
-    ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``.
+    """The document ``parse_instance`` reads, as the text ``write_doc``
+    gives for it.
 
     Filled from fixed templates rather than by ``json``, whose indented
     output runs the pure-Python encoder.  Floats are written as ``%r``,

@@ -66,14 +66,13 @@ nothing.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .instance import Instance
+from .instance import Instance, write_doc
 from .metric import EdgeSet, MetricSpace
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .walks import expand_hops, walk_cost
@@ -131,7 +130,7 @@ class OptTrace:
             ],
             "requests": {str(q): t for q, t in sorted(self.service_time.items())},
         }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return write_doc(doc)
 
 
 def opt_edges_during(trace: OptTrace, t1: float, t2: float) -> EdgeSet:

@@ -86,7 +86,7 @@ import numpy as np
 
 from . import config
 from .metric import EdgeSet, MetricSpace
-from .walks import tree_adjacency
+from .walks import tree_dfs_nodes
 
 __all__ = [
     "SteinerSolution",
@@ -587,40 +587,26 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
 
     # strong pruning over the forest tree containing the root: keep a child
     # subtree only when the penalty mass it rescues strictly exceeds the
-    # cost of the edge reaching it.  Post-order over an explicit stack of
-    # [node, parent, remaining children, benefit], children by ascending id.
-    adj = tree_adjacency(forest)
-
-    def open_frame(u: int, par: int) -> list:
-        b = penalties.get(u, 0.0) if u in terminals else 0.0
-        return [u, par, iter(adj.get(u, ())), b]
-
+    # cost of the edge reaching it.  One depth-first tour, children by
+    # ascending id: a step to a node already seen returns from a finished
+    # child, so the benefits add up in post-order.
+    tour = tree_dfs_nodes(forest, root)
+    benefit = {root: 0.0}  # the root's own benefit is never read
     kept: set[tuple[int, int]] = set()
-    stack = [open_frame(root, -1)]
-    while stack:
-        frame = stack[-1]
-        u, par, children, _ = frame
-        for v in children:
-            if v != par:
-                stack.append(open_frame(v, u))
-                break
-        else:
-            stack.pop()
-            if stack:
-                up = stack[-1]
-                e = (min(up[0], u), max(up[0], u))
-                if frame[3] > forest[e] + eps:
-                    kept.add(e)
-                    up[3] += frame[3] - forest[e]
-    # the root's component of the kept edges, a subforest of the forest
+    for u, v in zip(tour, tour[1:]):
+        if v not in benefit:
+            benefit[v] = penalties.get(v, 0.0) if v in terminals else 0.0
+            continue
+        e = (min(u, v), max(u, v))
+        if benefit[u] > forest[e] + eps:
+            kept.add(e)
+            benefit[v] += benefit[u] - forest[e]
+    # the root's component of the kept edges: a node is in it when its parent
+    # is and the edge between them is kept, and the tour reaches parents first
     tree_nodes = {root}
-    todo = [root]
-    while todo:
-        u = todo.pop()
-        for v in adj.get(u, ()):
-            if v not in tree_nodes and (min(u, v), max(u, v)) in kept:
-                tree_nodes.add(v)
-                todo.append(v)
+    for u, v in zip(tour, tour[1:]):
+        if u in tree_nodes and v not in tree_nodes and (min(u, v), max(u, v)) in kept:
+            tree_nodes.add(v)
     tree = [e for e in kept if e[0] in tree_nodes and e[1] in tree_nodes]
     served = frozenset(t for t in terminals if t in tree_nodes or t == root)
     tree_cost = sum(forest[e] for e in tree)

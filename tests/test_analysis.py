@@ -249,7 +249,7 @@ def test_cdchg_charges_only_requests_the_optimum_serves_late(path_graph):
                    service_time={0: 6.0, 1: 1.0})
     expected = max(0.0, late.delay.value(5.0) - max(late.delay.value(2.0), 3.0))
     assert expected == 2.0
-    assert _cdchg(inst, record, opt) == expected
+    assert _cdchg({q.id: q for q in inst.requests}, record, opt) == expected
 
 
 def test_partition_class_count_arithmetic():

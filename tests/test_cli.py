@@ -17,6 +17,7 @@ from metricserve.instance import (
     generate,
     investment_star,
     serialize_instance,
+    write_doc,
 )
 
 
@@ -61,6 +62,28 @@ def test_run_empty_instance(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["total_cost"] == 0.0
     assert json.loads(trace.read_text())["total_cost"] == 0.0
+
+
+def test_stdout_is_canonical(tmp_path, capsys):
+    """Every command prints the text ``write_doc`` gives for its document."""
+    results = []
+    for mode in ("deadline", "delay"):
+        inst = str(tmp_path / f"{mode}.json")
+        results.append(_run(capsys, ["generate", "--seed", "5", "--points", "6", "--requests",
+                                     "5", "--mode", mode, "--out", inst]))
+        for regime in ([], ["--request-regime"]):
+            results.append(_run(capsys, ["run", "--instance", inst, *regime]))
+        results.append(_run(capsys, ["opt", "--instance", inst]))
+        results.append(_run(capsys, ["verify", "--instance", inst]))
+    results.append(_run(capsys, ["report", "--glob", str(tmp_path / "*.json"),
+                                 "--csv", str(tmp_path / "report.csv")]))
+    for code, out in results:
+        assert code == 0
+        assert out == write_doc(json.loads(out))
+
+
+def test_write_doc_sorts_keys_as_text():
+    assert write_doc({"2": 0, "10": 0}) == '{\n "10": 0,\n "2": 0\n}\n'
 
 
 def test_run_mode_mismatch(tmp_path, capsys):
