@@ -33,41 +33,27 @@ the trigger, back to the start, then the optional relocation hop.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import config
-from .engine import EngineCore, EngineTrace
+from .engine import EngineCore, EngineTrace, ServiceRecord
 from .instance import Instance
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
 from .metric import complete_graph_on  # noqa: F401  perfbench/selftest.py checks this binding
 from .steiner import certificate_margin, steiner_approx
 
-__all__ = ["ServiceRecord", "DeadlineEngine", "run_deadline"]
+__all__ = ["DeadlineServiceRecord", "DeadlineEngine", "run_deadline"]
 
 
 @dataclass(frozen=True)
-class ServiceRecord:
-    service_id: int
-    time: float
-    level: int
-    start_position: int
+class DeadlineServiceRecord(ServiceRecord):
     trigger_id: int
-    primary: bool
-    eligible_ids: tuple[int, ...]
-    served_ids: tuple[int, ...]
-    forwarding_time: float
-    walk: tuple[int, ...]
-    cost: float
-    end_position: int
-
-    def to_doc(self) -> dict:
-        return asdict(self)
 
 
 class DeadlineEngine(EngineCore):
     """Deadline-mode online state; ``upon_deadline`` performs a service."""
 
-    def upon_deadline(self, qid: int) -> ServiceRecord:
+    def upon_deadline(self, qid: int) -> DeadlineServiceRecord:
         """Serve the deadline of pending request ``qid``.
 
         Certificate.  Let ``full`` be ``steiner_approx`` over the points of
@@ -127,31 +113,15 @@ class DeadlineEngine(EngineCore):
                 if tree.cost >= budget - config.EPS:
                     break
 
-        tail = [a, trigger.point] if primary else [a]
-        walk, cost = self.service_walk(tree.tree_edges, trigger.point, tail)
-
-        sid = self.serve(chosen, t)
-        for rid in eligible:
-            if rid not in chosen:
-                self.upgrade(rid, service_level + 1)
-        self.move_to(trigger.point if primary else a)
-
-        record = ServiceRecord(
-            service_id=sid,
-            time=t,
-            level=service_level,
-            start_position=a,
-            trigger_id=qid,
+        return self.end_service(
+            DeadlineServiceRecord, t, service_level, eligible, chosen,
             primary=primary,
-            eligible_ids=tuple(sorted(eligible)),
-            served_ids=tuple(sorted(chosen)),
             forwarding_time=max(self.requests[r].deadline for r in chosen),
-            walk=tuple(walk),
-            cost=cost,
-            end_position=self.position,
+            tree_edges=tree.tree_edges,
+            root=trigger.point,
+            tail=[a, trigger.point] if primary else [a],
+            own=lambda movement: {"cost": movement, "trigger_id": qid},
         )
-        self.records.append(record)
-        return record
 
 
 def run_deadline(inst: Instance, request_regime: bool = False) -> EngineTrace:

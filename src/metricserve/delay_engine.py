@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
 
 from . import config
-from .engine import EngineCore, EngineTrace
+from .engine import EngineCore, EngineTrace, ServiceRecord
 from .instance import DelayRequest, Instance
 from .metric import MetricSpace, NumericRangeError
 from .metric import build_metric  # noqa: F401  perfbench/selftest.py checks this binding
@@ -71,36 +71,16 @@ class CriticalEvent:
 
 
 @dataclass(frozen=True)
-class DelayServiceRecord:
-    service_id: int
-    time: float
-    level: int
-    start_position: int
+class DelayServiceRecord(ServiceRecord):
     trigger_ids: tuple[int, ...]
-    primary: bool
     relocation_target: int | None
-    eligible_ids: tuple[int, ...]
-    served_ids: tuple[int, ...]
-    forwarding_time: float
     reset_increment: float
     invest_increment: float
     counter_increments: dict[int, float]
-    trigger_residuals: dict[int, float]
-    eligible_ctr_before: dict[int, float]
-    walk: tuple[int, ...]
     movement_cost: float
-    cost: float
-    end_position: int
-
-    def to_doc(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}  # no deep copy, unlike asdict
-        del doc["trigger_residuals"], doc["eligible_ctr_before"]  # for the charge report only
-        # null marks a service whose prize-collecting cost never reaches
-        # the budget (it serves every eligible request)
-        if not math.isfinite(self.forwarding_time):
-            doc["forwarding_time"] = None
-        doc["counter_increments"] = {str(k): v for k, v in sorted(self.counter_increments.items())}
-        return doc
+    # read only by the charge report, so no trace prints them
+    trigger_residuals: dict[int, float] = field(metadata={"traced": False})
+    eligible_ctr_before: dict[int, float] = field(metadata={"traced": False})
 
 
 @dataclass(frozen=True)
@@ -255,39 +235,25 @@ class DelayEngine(EngineCore):
         unserved = [qid for qid in eligible if qid not in served]
         assert not unserved or math.isfinite(tau), "an infinite forwarding time serves everything"
         invest_increment = self._raise_counters(unserved, tau, counter_increments)
-        for qid in unserved:
-            self.upgrade(qid, service_level + 1)
-
-        tail = [] if relocation is None else [relocation]
-        walk, movement = self.service_walk(solution.tree_edges, a, tail)
-
-        sid = self.serve(served, t)
-        if relocation is not None:
-            self.move_to(relocation)
-
-        record = DelayServiceRecord(
-            service_id=sid,
-            time=t,
-            level=service_level,
-            start_position=a,
-            trigger_ids=tuple(triggers),
+        return self.end_service(
+            DelayServiceRecord, t, service_level, eligible, served,
             primary=primary,
-            relocation_target=relocation,
-            eligible_ids=tuple(eligible),
-            served_ids=tuple(sorted(served)),
             forwarding_time=tau,
-            reset_increment=reset_increment,
-            invest_increment=invest_increment,
-            counter_increments=counter_increments,
-            trigger_residuals=trigger_residuals,
-            eligible_ctr_before=eligible_ctr_before,
-            walk=tuple(walk),
-            movement_cost=movement,
-            cost=movement + reset_increment + invest_increment,
-            end_position=self.position,
+            tree_edges=solution.tree_edges,
+            root=a,
+            tail=[] if relocation is None else [relocation],
+            own=lambda movement: {
+                "cost": movement + reset_increment + invest_increment,
+                "movement_cost": movement,
+                "trigger_ids": tuple(triggers),
+                "relocation_target": relocation,
+                "reset_increment": reset_increment,
+                "invest_increment": invest_increment,
+                "counter_increments": counter_increments,
+                "trigger_residuals": trigger_residuals,
+                "eligible_ctr_before": eligible_ctr_before,
+            },
         )
-        self.records.append(record)
-        return record
 
     # -- internals ------------------------------------------------------------
 

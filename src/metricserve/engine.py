@@ -3,7 +3,9 @@
 Both follow one level discipline: a request is revealed at level bottom,
 its adjusted level is ``max(level, ceil(log2 d(server, point)))``, and a
 service at level L serves some of the requests ``eligible(L)`` returns
-while the engine upgrades the rest.  Adjusted levels are memoised.  One
+and upgrades the rest.  Each engine picks the served set and the tree;
+``end_service`` does the rest and records a ``ServiceRecord``, which each
+engine extends with its own fields.  Adjusted levels are memoised.  One
 changes only when the server moves or the request's level is upgraded,
 so both engines make those two writes through ``move_to`` and
 ``upgrade``, the only places the memo is cleared.
@@ -19,6 +21,7 @@ releases in time order, so decisions cannot depend on the future.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .instance import DeadlineRequest, DelayRequest, write_doc
@@ -26,7 +29,46 @@ from .levels import BOTTOM, Level, adjusted_level, clamp_bottom, min_level
 from .metric import MetricSpace, complete_graph_on
 from .walks import expand_hops, tree_dfs_nodes, walk_cost
 
-__all__ = ["EngineCore", "EngineTrace"]
+__all__ = ["EngineCore", "EngineTrace", "ServiceRecord"]
+
+
+def _field_doc(obj) -> dict:
+    """The fields of ``obj`` that a trace prints, in a shallow dict (no deep
+    copy, unlike ``asdict``); dict fields get str keys, since json sorts
+    int keys as numbers."""
+    doc = {}
+    for f in fields(obj):
+        if f.metadata.get("traced", True):
+            value = getattr(obj, f.name)
+            if isinstance(value, dict):
+                value = {str(k): v for k, v in value.items()}
+            doc[f.name] = value
+    return doc
+
+
+@dataclass(frozen=True)
+class ServiceRecord:
+    """One service; each engine's record adds its own fields."""
+
+    service_id: int
+    time: float
+    level: int
+    start_position: int
+    primary: bool
+    eligible_ids: tuple[int, ...]
+    served_ids: tuple[int, ...]
+    forwarding_time: float
+    walk: tuple[int, ...]
+    cost: float
+    end_position: int
+
+    def to_doc(self) -> dict:
+        doc = _field_doc(self)
+        # null marks a delay service whose prize-collecting cost never
+        # reaches the budget (it serves every eligible request)
+        if not math.isfinite(self.forwarding_time):
+            doc["forwarding_time"] = None
+        return doc
 
 
 @dataclass(frozen=True)
@@ -34,22 +76,18 @@ class EngineTrace:
     """What a run returns; the delay engine's trace adds its own fields."""
 
     mode: str
-    services: tuple
+    services: tuple[ServiceRecord, ...]
     service_time: dict[int, float]
     serving_service: dict[int, int]
     total_cost: float
     final_position: int
 
     def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}  # no deep copy, unlike asdict
+        doc = _field_doc(self)
         times, sids = doc.pop("service_time"), doc.pop("serving_service")
-        for name, value in doc.items():
-            if isinstance(value, dict):  # counters: int keys would sort as numbers
-                doc[name] = {str(k): v for k, v in value.items()}
         doc["services"] = [s.to_doc() for s in self.services]
         doc["requests"] = {
-            str(qid): {"service_time": t, "serving_service": sids[qid]}
-            for qid, t in times.items()
+            qid: {"service_time": t, "serving_service": sids[qid]} for qid, t in times.items()
         }
         return write_doc(doc)
 
@@ -68,7 +106,7 @@ class EngineCore:
         self.levels: dict[int, Level] = {}
         self._alevels: dict[int, Level] = {}  # memo of adjusted_level_of
         self.pending: set[int] = set()
-        self.records: list = []
+        self.records: list[ServiceRecord] = []
         self.service_time: dict[int, float] = {}
         self.serving_service: dict[int, int] = {}
 
@@ -118,22 +156,43 @@ class EngineCore:
             )
         return self._space
 
-    def service_walk(self, tree_edges, root: int, tail) -> tuple[list[int], float]:
-        """The walk from the server through the depth-first tour from ``root``
-        of ``tree_edges`` (node ids of ``space()``) and then ``tail``, and its cost."""
+    def end_service(
+        self, record_type: type[ServiceRecord], t: float, level: int, eligible, served,
+        *, primary: bool, forwarding_time: float, tree_edges, root: int, tail, own,
+    ) -> ServiceRecord:
+        """End a service at ``level``: walk from the server through the
+        depth-first tour from ``root`` of ``tree_edges`` (``space()`` node
+        ids) and then ``tail``, serve ``served`` at ``t``, upgrade the rest of
+        ``eligible`` to ``level + 1`` and move to the walk's end.  Record the
+        shared fields and ``own(movement)``, the engine's fields (``cost``
+        among them) given the walk's cost."""
+        start = self.position
         pts = self.space().points
         tour = tree_dfs_nodes([(pts[u], pts[v]) for u, v in tree_edges], root)
-        walk = expand_hops(self.m, [self.position, *tour, *tail])
-        return walk, walk_cost(self.m, walk)
-
-    def serve(self, qids, t: float) -> int:
-        """Mark ``qids`` served at time ``t`` by the next service; return its id."""
+        walk = expand_hops(self.m, [start, *tour, *tail])
         sid = len(self.records)
-        for qid in qids:
+        for qid in served:
             self.pending.discard(qid)
             self.service_time[qid] = t
             self.serving_service[qid] = sid
-        return sid
+        for qid in set(eligible).difference(served):
+            self.upgrade(qid, level + 1)
+        self.move_to(walk[-1])
+        record = record_type(
+            service_id=sid,
+            time=t,
+            level=level,
+            start_position=start,
+            primary=primary,
+            eligible_ids=tuple(sorted(eligible)),
+            served_ids=tuple(sorted(served)),
+            forwarding_time=forwarding_time,
+            walk=tuple(walk),
+            end_position=self.position,
+            **own(walk_cost(self.m, walk)),
+        )
+        self.records.append(record)
+        return record
 
     def trace_fields(self) -> dict:
         """The fields of the run's ``EngineTrace`` read off the final state."""

@@ -131,8 +131,6 @@ class DelayFunction:
             return self.release
         for (t0, y0), (t1, y1) in zip(self.breakpoints, self.breakpoints[1:]):
             if y1 >= c:
-                if y1 == y0:
-                    return t0
                 return t0 + (c - y0) * (t1 - t0) / (y1 - y0)
         t0, y0 = self.breakpoints[-1]
         return t0 + (c - y0) / self.final_slope

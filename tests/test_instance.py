@@ -93,6 +93,15 @@ def test_delay_inverse_on_flat_segment():
     assert fn.first_time_at_least(0.0) == 0.0
 
 
+def test_delay_inverse_past_a_plateau_is_exact():
+    """A plateau at the queried value is reached where the rise before it
+    ends, and a value above it inside the next rise; with c > 0 the first
+    segment reaching c always rises, so no plateau branch is needed."""
+    fn = DelayFunction(((0.0, 0.0), (1.0, 2.0), (3.0, 2.0), (4.0, 5.0)), final_slope=1.0)
+    assert fn.first_time_at_least(2.0) == 1.0
+    assert fn.first_time_at_least(3.5) == 3.5
+
+
 @st.composite
 def delay_functions(draw):
     release = draw(st.floats(0, 10, allow_nan=False))

@@ -462,3 +462,34 @@ def test_opt_deadline_matches_reference_and_bruteforce_on_dead_states(family):
                 opt_deadline_bruteforce(build_metric(inst.graph), inst), abs=1e-9)
             if k == _DEADLINE_CAP:
                 assert _dead_share(inst) > 0.9
+
+
+# deadlines as step delays: each exact oracle checks the other
+
+
+def as_step_delay(inst: Instance, slope: float) -> Instance:
+    """The delay instance whose request q costs nothing inside its window
+    [r, d] and then ``slope * W / min(d - r)`` per unit of time, where W is
+    the total edge weight: serving any request late costs more than any
+    walk can save, so the delay optimum is the deadline optimum."""
+    w_total = math.fsum(w for _, _, w in inst.graph.edges)
+    final_slope = slope * w_total / min(q.deadline - q.release for q in inst.requests)
+    return Instance(graph=inst.graph, server_start=inst.server_start, mode="delay", requests=tuple(
+        DelayRequest(q.id, q.point, q.release,
+                     DelayFunction(((q.release, 0.0), (q.deadline, 0.0)), final_slope))
+        for q in inst.requests
+    ))
+
+
+@pytest.mark.parametrize("weight_range", [(1.0, 10.0), (0.1, 0.3), (1.0, 1.0)])
+def test_opt_delay_of_step_delays_equals_opt_deadline(weight_range):
+    """The deadline oracle's greedy visit times and the delay oracle's batch
+    shifts to releases rest on different lemmas, yet reach one optimum."""
+    rng = random.Random(2029)
+    for k in range(1, _DELAY_CAP + 1):
+        for _ in range(12):
+            inst = generate(seed=rng.randrange(10**9), n_points=rng.randint(3, 14),
+                            n_requests=k, mode="deadline", weight_range=weight_range)
+            cost = opt_deadline(inst).total_cost
+            assert opt_delay(as_step_delay(inst, 1e6)).total_cost == pytest.approx(
+                cost, rel=0, abs=1e-12 * max(1.0, cost))
