@@ -42,36 +42,38 @@ nodes is already the tree the second Kruskal would return, and leaf
 pruning is one queue pass that keeps list order, so costs are summed in
 the same order as before.
 
-Moat events that take no time
------------------------------
-Each event of ``pcst_approx`` is chosen by a scan over the candidates in
-scan order: edges in ``(u, v)`` order, then live components by root id.
-The scan keeps the running best ``b`` and replaces it by a value ``x``
-only when ``x < b - 1e-15``, with the difference rounded to a float.  On
-inputs with many equal distances, such as a star of equal leaves, most
-events take no time: their delta is 0.0.  Adding 0.0 to a depth or
-subtracting it from a surplus gives an equal value, so the loop skips
-that pass, and every candidate then keeps the value the scan gave it
-except the edges and the components that the event itself merges or
-deactivates.  So after the first such event the loop keeps the
-candidates in a list sorted by (value, scan position) and re-keys only
-those, until an event takes time.
+One scan per moat event
+-----------------------
+Each event of ``pcst_approx`` is chosen by one scan over the candidates
+in scan order: edges in ``(u, v)`` order, then live components by root
+id.  A value replaces the running best ``b`` only when it is below the
+bar ``b - 1e-15``, rounded to a float.  Three rules keep every choice.
 
-Let ``(m, p)`` be the front of that list and ``v`` the smallest value
-above ``m``.  When ``m < v - 1e-15`` (the scan's own test, in floats),
-the scan picks ``p``.  Every candidate the scan meets before ``p`` has a
-value other than ``m`` (one equal to it, met earlier, would sort first),
-so at least ``v``, and the running best ``b`` on reaching ``p`` is one of
-those values or infinite.  Rounding is monotone, so ``b - 1e-15 >= v -
-1e-15 > m`` and ``p`` replaces ``b``.  After ``p`` every value ``x`` is at
-least ``m``, which is at least ``m - 1e-15``, so none replaces it.  When
-the test fails, ``v`` is in the tie window, and the loop replays the
-scan.  The window is narrow: with ``g <= math.ulp(m)`` the gap from ``m``
-to the next float, ``v - 1e-15`` rounds to at most ``m`` only if ``v <=
-m + 1e-15 + g / 2``, and ``v >= m + g``, so the window lies inside
-``(m, m + 1e-15 + math.ulp(m) / 2]`` and is empty once ``g`` exceeds
-``2e-15`` (from about ``m = 16`` on).  Any fixed width of at least
-``2e-15`` would hold every rival; testing ``v`` itself needs none.
+- *Zero-delta exit.*  Edge deltas are slacks clamped at 0.0 over a
+  positive rate, so never negative.  Once one is 0.0 the bar is at most
+  0.0 (it is ``-1e-15`` if that edge became ``b``), so no later edge can
+  pass; the scan stops and keeps the unread edges for the next scan,
+  which drops those a merge has put inside a component.
+- *Surplus floor.*  ``floor`` is at most every live surplus, so when it
+  is not below the bar no component can pass and none is scanned.  A
+  component scan sets it to the least live surplus; an event that takes
+  time resets it to ``-inf``.  An event that takes no time keeps it a
+  bound: a deactivation drops a component, and a merge's ``max(0, s_u) +
+  max(0, s_v)`` is at least the surplus of its live side.
+- *No-merge exit.*  Let ``own(x)`` be the penalty of a terminal other
+  than the root, else 0, and ``margin`` the solve's ``certificate_margin``
+  scaled by the largest edge weight.  If every edge ``(u, v, w)`` has
+  ``own(u) + own(v) + margin < w``, no edge event is ever chosen.  With no
+  merge, every component is one node.  A terminal's depth ``d`` stays
+  within rounding of its penalty less its surplus ``s``, which stays above
+  about ``-1e-15``, and other depths stay 0.  So an edge with one live end
+  has delta ``w - d(u) - d(v) > s(u) + margin`` and one with two has
+  ``(w - d(u) - d(v)) / 2 > (s(u) + s(v) + margin) / 2``, up to rounding
+  relative to penalties below ``w`` that the margin's ``1e-9 * scale``
+  covers.  Every edge's delta thus exceeds the least live surplus by
+  more than half the margin, at least ``EPS`` and far above ``1e-15``,
+  and every event is a deactivation.  The forest stays empty, so the
+  solve skips the growth.
 """
 
 from __future__ import annotations
@@ -139,7 +141,8 @@ def certificate_margin(n_terminals: int, n_nodes: int, scale: float) -> float:
     the optimum, for a solve with ``n_terminals`` terminals in a space of
     ``n_nodes`` nodes whose costs are at most ``scale``.  The engines'
     certificates rest on it: see ``DeadlineEngine.upon_deadline`` and
-    ``DelayEngine._forwarding_time`` for what it covers."""
+    ``DelayEngine._forwarding_time`` for what it covers.  ``pcst_approx``
+    also reads it as the gap of its no-merge exit (module docstring)."""
     return (n_terminals + n_nodes + 1) * config.EPS + 1e-9 * scale
 
 
@@ -442,13 +445,12 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
     one only when it is smaller by more than ``1e-15``; a merge keeps the
     root id of the edge's ``v`` side.
 
-    An event whose delta is 0.0 changes no depth or surplus, so it skips
-    that pass.  From the first such event until one takes time, the
-    candidates sit in a list sorted by (value, scan position), and only
-    those the event merged or deactivated are re-keyed.  The front is the
-    scan's event unless the next larger value fails the scan's own
-    ``1e-15`` test against it; then the scan is replayed.  The module
-    docstring proves both steps exact and bounds the tie window.
+    The edge scan stops at the first edge whose delta is 0.0, as no later
+    edge can replace it, and keeps the unread rest of the sorted list for
+    the next scan.  Live components are scanned only while ``floor``, a
+    lower bound on their surpluses, is below the bar the edges left.  When
+    no edge can go tight at all, the growth is skipped.  The module
+    docstring proves the three rules exact.
 
     ``tree_cost`` adds the kept edges in the iteration order of the set
     ``kept``, which follows the node ids.  Summed in sorted order, some
@@ -475,75 +477,52 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
 
     depth = [0.0] * m.n  # accumulated moat depth per node
     # edges between distinct components as of the last scan, in sorted
-    # order; each scan drops those a merge has put inside a component
+    # order, then the edges that scan left unread; each scan drops those a
+    # merge has put inside a component
     edges = m.sorted_edges
     forest: dict[tuple[int, int], float] = {}  # (min id, max id) -> weight
-    # While the depths stand still: every candidate, (value, 0, u, v) for
-    # an edge and (value, 1, c) for a live component, in sorted order;
-    # ``keyed`` maps each candidate's key to its entry, ``incident`` each
-    # node to its edges (built with the first queue).
-    queue: list[tuple] | None = None
-    keyed: dict[tuple, tuple] = {}
-    incident: dict[int, list[tuple[int, int, float]]] = {}
-
-    def edge_value(u: int, v: int, w: float) -> float:
-        """The scan's value for the edge; inf when it is no candidate."""
-        cu, cv = comp[u], comp[v]
-        rate = active[cu] + active[cv] if cu != cv else 0
-        if rate == 0:
-            return math.inf
-        slack = w - depth[u] - depth[v]  # max(0.0, slack) without the call
-        return (slack if slack > 0.0 else 0.0) / rate
-
-    def requeue(key: tuple, value: float) -> None:
-        """Give a candidate its current value; inf takes it out."""
-        old = keyed.pop(key, None)
-        if old is not None:
-            if old[0] == value:
-                keyed[key] = old
-                return
-            del queue[bisect.bisect_left(queue, old)]
-        if value < math.inf:
-            keyed[key] = entry = (value, *key)
-            bisect.insort(queue, entry)
-
-    def requeue_edges(nodes) -> None:
-        for x in nodes:
-            for u, v, w in incident.get(x, ()):
-                requeue((0, u, v), edge_value(u, v, w))
+    # the no-merge exit: no edge can go tight (see the module docstring)
+    w_max = max((w for _, _, w in edges), default=0.0)
+    margin = certificate_margin(len(terminals), m.n, w_max)
+    if all(surplus[u] + surplus[v] + margin < w for u, v, w in edges):
+        live = []
+    floor = -math.inf  # at most every live surplus
 
     while live:
-        best_event: tuple | None = None
-        if queue is not None:
-            best_delta = queue[0][0]
-            # the smallest value above the minimum decides, by the scan's test
-            rival = bisect.bisect_right(queue, (best_delta, 2))
-            if rival == len(queue) or best_delta < queue[rival][0] - 1e-15:
-                best_event = queue[0][1:]
-        if best_event is None:
-            best_delta = bar = math.inf
-            between = []
-            for e in edges:
-                u, v, w = e
-                cu, cv = comp[u], comp[v]
-                if cu == cv:
-                    continue
-                between.append(e)
-                rate = active[cu] + active[cv]
-                if rate == 0:
-                    continue
-                slack = w - depth[u] - depth[v]
-                delta = (slack if slack > 0.0 else 0.0) / rate
-                if delta < bar:
-                    best_delta, bar = delta, delta - 1e-15
-                    best_event = (0, u, v)
-            edges = between
+        best_delta = bar = math.inf
+        best_event = None
+        between = []
+        unread = iter(edges)
+        for e in unread:
+            u, v, w = e
+            cu, cv = comp[u], comp[v]
+            if cu == cv:
+                continue
+            between.append(e)
+            rate = active[cu] + active[cv]
+            if rate == 0:
+                continue
+            slack = w - depth[u] - depth[v]
+            delta = (slack if slack > 0.0 else 0.0) / rate
+            if delta < bar:
+                best_delta, bar = delta, delta - 1e-15
+                best_event = (0, u, v)
+            if delta == 0.0:
+                # now bar <= 0.0, and no later delta is negative
+                between.extend(unread)
+                break
+        edges = between
+        if floor < bar:
+            floor = math.inf
             for c in live:
-                if surplus[c] < bar:
-                    best_delta, bar = surplus[c], surplus[c] - 1e-15
+                s = surplus[c]
+                if s < floor:
+                    floor = s
+                if s < bar:
+                    best_delta, bar = s, s - 1e-15
                     best_event = (1, c)
         if best_delta != 0.0:
-            queue = None
+            floor = -math.inf
             for c in live:
                 surplus[c] -= best_delta
                 for v in members[c]:
@@ -551,44 +530,22 @@ def pcst_approx(m: MetricSpace, terminals, penalties: dict[int, float], root: in
         if best_event[0] == 0:
             _, u, v = best_event
             cu, cv = comp[u], comp[v]
-            was_u, was_v = active[cu], active[cv]
-            nu, nv = len(members[cu]), len(members[cv])
             forest[(min(u, v), max(u, v))] = m.edge_weight(u, v)
             for x in members[cu]:
                 comp[x] = cv
             members[cv].extend(members[cu])
+            for c in (cu, cv):
+                if active[c]:
+                    live.remove(c)
             surplus[cv] = max(0.0, surplus[cu]) + max(0.0, surplus[cv])
             active[cv] = comp[root] != cv and surplus[cv] > eps
-            live = [c for c in live if c != cu and c != cv]
             if active[cv]:
                 bisect.insort(live, cv)
-            if queue is not None:
-                requeue((1, cu), math.inf)
-                requeue((1, cv), surplus[cv] if active[cv] else math.inf)
-                # the smaller side holds an end of each edge now inside cv;
-                # a side whose activity changed re-rates all of its edges
-                if was_v != active[cv] or nv < nu:
-                    requeue_edges(members[cv][:nv])
-                if was_u != active[cv] or nu <= nv:
-                    requeue_edges(members[cu])
         else:
             c = best_event[1]
             surplus[c] = 0.0
             active[c] = False
             live.remove(c)
-            if queue is not None:
-                requeue((1, c), math.inf)
-                requeue_edges(members[c])
-        if queue is None and best_delta == 0.0:
-            # edge_value leaves out the edges a merge put inside a component
-            if not incident:
-                for e in edges:
-                    incident.setdefault(e[0], []).append(e)
-                    incident.setdefault(e[1], []).append(e)
-            queue = [(edge_value(u, v, w), 0, u, v) for u, v, w in edges]
-            queue += [(surplus[c], 1, c) for c in live]
-            queue = sorted(e for e in queue if e[0] < math.inf)
-            keyed = {e[1:]: e for e in queue}
 
     # strong pruning over the forest tree containing the root: keep a child
     # subtree only when the penalty mass it rescues strictly exceeds the

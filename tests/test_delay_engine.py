@@ -473,6 +473,37 @@ def test_traces_unchanged_with_forwarding_certificate_off(monkeypatch):
     _assert_delay_run_goldens_match()
 
 
+def test_traces_unchanged_with_no_merge_exit_off(monkeypatch):
+    """``pcst_approx`` skips the moat growth when no edge can go tight.  An
+    infinite margin in ``metricserve.steiner`` turns that exit off, while the
+    engines keep their own binding of ``certificate_margin``.  The exit
+    fires in some solves of the seeded runs, their traces are the same with
+    it on and off, and every delay golden still matches with it off."""
+    import metricserve.delay_engine as engine_module
+    import metricserve.steiner as steiner_module
+
+    fired = []
+
+    def solve(m, terminals, penalties, root):
+        def own(x):
+            return penalties.get(x, 0.0) if x in terminals and x != root else 0.0
+
+        edges = m.sorted_edges
+        w_max = max((w for _, _, w in edges), default=0.0)
+        margin = steiner_module.certificate_margin(len(terminals), m.n, w_max)
+        fired.append(all(own(u) + own(v) + margin < w for u, v, w in edges))
+        return steiner_module.pcst_approx(m, terminals, penalties, root)
+
+    monkeypatch.setattr(engine_module, "pcst_approx", solve)
+    runs = _seeded_delay_runs()
+    with_exit = [run_delay(inst, request_regime=rr).to_json() for inst, rr in runs]
+    assert 0 < sum(fired) < len(fired)
+    monkeypatch.setattr(steiner_module, "certificate_margin", lambda *args: math.inf)
+    for (inst, rr), want in zip(runs, with_exit):
+        assert run_delay(inst, request_regime=rr).to_json() == want
+    _assert_delay_run_goldens_match()
+
+
 def test_certified_search_solves_once(monkeypatch):
     """Every forwarding search solves the probe horizon first.  It is
     certified when that solution serves every eligible point and twice its

@@ -528,6 +528,53 @@ def test_pcst_approx_matches_reference_moat_growth():
         ), ("sparse", i)
 
 
+def test_pcst_approx_matches_reference_on_large_stars():
+    """Exactly the reference's solution on stars of 40-250 equal leaves,
+    rooted at the hub or a leaf, the hub a terminal or not.  Leaf
+    penalties are zero, half the leaf weight (the no-merge exit fires),
+    just under the weight by less than the exit's margin (a deactivation
+    cascade that the exit leaves to the growth), above the weight (a merge
+    cascade of zero-time events), over it by less than the margin (a
+    merge cascade whose leaves strong pruning keeps from the hub) or
+    alternately half and above."""
+    rng = random.Random(71)
+    for i in range(24):
+        n = rng.randint(40, 250)
+        w = rng.choice([float(rng.randint(1, 4)), 0.3, 0.7])
+        kind = i % 6
+        half, near, above, over = w / 2, w * (1 - 1e-12), w + rng.randint(1, 3), w + n * 1e-9
+        pen = {
+            t: [0.0, half, near, above, over, (half, above)[t % 2]][kind] for t in range(1, n + 1)
+        }
+        m = build_metric(WeightedGraph(n + 1, tuple((0, t, w) for t in range(1, n + 1))))
+        root = 0 if (i // 6) % 2 else rng.randint(1, n)
+        if i // 12:
+            pen[0] = rng.choice([half, above])
+        terminals = set(pen) | {root}
+        assert pcst_approx(m, terminals, pen, root) == _reference_pcst_approx(
+            m, terminals, pen, root
+        ), ("star", i)
+
+
+@pytest.mark.parametrize("w", [1.0, 0.3, 7.5, 1e3])
+@pytest.mark.parametrize("split", [0.5, 0.2])
+def test_pcst_approx_matches_reference_at_the_no_merge_exit(w, split):
+    """Edge (0, 1) of weight w joins two terminals and the root 2 hangs off
+    node 1 by a heavy edge.  Their penalties sum to just under, then just
+    over, w less the no-merge exit's margin, so the exit fires on one side
+    only; both sides give the reference's solution."""
+    m = build_metric(WeightedGraph(3, ((0, 1, w), (1, 2, 10.0 * w))))
+    terminals = {0, 1, 2}
+    margin = certificate_margin(len(terminals), m.n, 10.0 * w)
+    for side in (-1, 1):
+        total = (w - margin) + side * 1e-3 * margin
+        pen = {0: split * total, 1: (1 - split) * total, 2: 0.0}
+        assert (pen[0] + pen[1] + margin < w) == (side < 0)
+        assert pcst_approx(m, terminals, pen, 2) == _reference_pcst_approx(
+            m, terminals, pen, 2
+        ), side
+
+
 def _reference_kruskal(nodes, weighted_edges):
     parent = {v: v for v in nodes}
 
