@@ -5,8 +5,8 @@ Library layout:
 - :mod:`metricserve.metric` -- shortest-path metric, balls, perforated
   balls, edge-part measures.
 - :mod:`metricserve.steiner` -- Steiner-tree and prize-collecting
-  Steiner-tree solvers (constant-factor approximations plus exact
-  oracles for testing).
+  Steiner-tree solvers (constant-factor approximations; the exact
+  solvers that audit them are test oracles in ``tests/exact.py``).
 - :mod:`metricserve.instance` -- request/instance model, JSON format,
   seeded generators.
 - :mod:`metricserve.config` -- the shared numeric tolerance ``EPS``.
@@ -43,7 +43,7 @@ from .instance import (
     parse_instance,
     serialize_instance,
 )
-from .steiner import pcst_approx, pcst_exact, steiner_approx, steiner_exact
+from .steiner import pcst_approx, steiner_approx
 from .deadline_engine import run_deadline
 from .delay_engine import run_delay
 from .offline_oracle import opt_deadline, opt_delay, opt_edges_during
@@ -65,9 +65,7 @@ __all__ = [
     "parse_instance",
     "serialize_instance",
     "steiner_approx",
-    "steiner_exact",
     "pcst_approx",
-    "pcst_exact",
     "run_deadline",
     "run_delay",
     "opt_deadline",

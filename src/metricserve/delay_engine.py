@@ -106,11 +106,14 @@ class DelayEngine(EngineCore):
         return max(y - self.counters[qid], 0.0)
 
     def max_critical_level(self, t: float) -> int | None:
-        """Largest level whose total residual has reached its threshold."""
+        """Largest level whose total residual has reached its threshold.
+        Raises ``NumericRangeError`` when that total is not finite."""
         shares = [(self.clamped_alevel(qid), self.residual(qid, t)) for qid in self.pending]
         total = math.fsum(r for _, r in shares)
         if total <= config.EPS:
             return None
+        if not math.isfinite(total):
+            raise NumericRangeError(f"the total residual at t={t!r} is {total}")
         cap = max(max(lv for lv, _ in shares), math.ceil(math.log2(total)) + 1)
         for level in range(cap, self.level_floor - 1, -1):
             if math.fsum(r for lv, r in shares if lv <= level) >= 2.0**level - config.EPS:

@@ -49,7 +49,6 @@ __all__ = [
     "build_metric",
     "ball_points",
     "shape_edge_measure",
-    "perforation_gap_bound_check",
     "edge_intervals_in_shape",
     "shapes_edge_disjoint",
     "complete_graph_on",
@@ -202,13 +201,18 @@ class MetricSpace:
         """Greedy: at each node take the smallest-id neighbor that keeps the
         remaining distance exact.  Deterministic, so traced walks and tree
         expansions are reproducible.  Raises ``NumericRangeError`` when no
-        neighbor is within ``EPS``, which exact arithmetic rules out."""
+        neighbor is within ``EPS``, or when ``n * n`` hops have not arrived:
+        an edge below an ulp of the remaining distance leaves it unchanged,
+        so the walk could cross that edge back and forth forever.  With
+        every edge above ``2 * EPS``, a walk takes at most ``n - 1`` hops."""
         eps = config.EPS
         view = self.dist_view
         hops = []
         cur = u
         remaining = view[u, v]
-        while cur != v:
+        for _ in range(self.n * self.n + 1):
+            if cur == v:
+                return tuple(hops)
             for z, w in self._adj[cur]:
                 if abs(w + view[z, v] - remaining) <= eps:
                     hops.append((w, min(cur, z), max(cur, z)))
@@ -217,24 +221,36 @@ class MetricSpace:
                     break
             else:
                 raise NumericRangeError(f"no shortest-path step from {cur} toward {v}")
-        return tuple(hops)
+        raise NumericRangeError(f"the shortest-path walk from {u} toward {v} does not end")
 
 
 def build_metric(g: WeightedGraph) -> MetricSpace:
-    """All-pairs shortest paths via Floyd-Warshall relaxation (``_relax``)."""
+    """All-pairs shortest paths via Floyd-Warshall relaxation (``_relax``).
+    Raises ``DisconnectedGraphError``, naming the smallest node that node 0
+    cannot reach, before it builds anything of size n."""
     n = g.node_count
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    adj: dict[int, list[tuple[int, float]]] = {u: [] for u in range(n)}
+    adj: dict[int, list[tuple[int, float]]] = {0: []}
     edge_weight: dict[tuple[int, int], float] = {}
     for u, v, w in g.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
         edge_weight[(min(u, v), max(u, v))] = w
+    reached = {0}
+    stack = [0]
+    while stack:
+        for z, _ in adj[stack.pop()]:
+            if z not in reached:
+                reached.add(z)
+                stack.append(z)
+    if len(reached) < n:
+        bad = next(u for u in range(n) if u not in reached)
+        raise DisconnectedGraphError(f"graph is disconnected: node {bad} unreachable")
+    adj = {u: sorted(adj[u]) for u in range(n)}
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
     # one write per entry: WeightedGraph rejects duplicate edges and self-loops
     us, vs, ws = zip(*g.edges) if g.edges else ((), (), ())
     dist[us, vs] = dist[vs, us] = ws
-    adj = {u: sorted(nbrs) for u, nbrs in adj.items()}
     return _relax(dist, tuple(range(n)), adj, edge_weight)
 
 
@@ -250,7 +266,8 @@ def _relax(dist: np.ndarray, points, adj, edge_weight) -> MetricSpace:
     propagates as in ``np.add``; the invalid flag comes from padding lanes of
     OpenBLAS edge tiles, which multiply 0 by ``inf`` and are never stored (any
     n not a multiple of 8, while a row holds ``inf``).  A final ``inf`` raises
-    DisconnectedGraphError, or NumericRangeError if ``adj`` reaches every node."""
+    NumericRangeError: both callers pass a connected graph (``build_metric``
+    checks first, and a closure is a complete graph), so it is an overflow."""
     n = len(dist)
     buf = np.empty_like(dist)
     e = np.ones((3, n))
@@ -261,13 +278,7 @@ def _relax(dist: np.ndarray, points, adj, edge_weight) -> MetricSpace:
             np.minimum(dist, np.matmul(a, b, out=buf), out=dist)
     del buf  # so that it never coexists with the d_min copy below
     if np.isinf(dist).any():
-        reached = [0]
-        for u in reached:  # breadth-first; the loop reads what it appends
-            reached += [z for z, _ in adj[u] if z not in reached]
-        if len(reached) == n:
-            raise NumericRangeError("a shortest-path distance overflows the float range")
-        bad = min(set(range(n)).difference(reached))
-        raise DisconnectedGraphError(f"graph is disconnected: node {bad} unreachable")
+        raise NumericRangeError("a shortest-path distance overflows the float range")
     d_min = float(dist[dist > 0].min()) if n > 1 else 1.0
     dist.setflags(write=False)
     return MetricSpace(n, dist, d_min, points, adj, edge_weight)
@@ -323,15 +334,6 @@ def shape_edge_measure(m: MetricSpace, edges: EdgeSet, shape: Shape) -> float:
         w = m.edge_weight(u, x)
         total += sum(hi - lo for lo, hi in edge_intervals_in_shape(m, u, x, w, shape))
     return total
-
-
-def perforation_gap_bound_check(
-    m: MetricSpace, edges: EdgeSet, v: int, r: float, rho: float
-) -> bool:
-    """measure(ball) <= measure(perforated ball) + 2 r n^2 / rho."""
-    ball = shape_edge_measure(m, edges, Ball(v, r))
-    perf = shape_edge_measure(m, edges, PerforatedBall(v, r, rho))
-    return ball <= perf + 2.0 * r * m.n**2 / rho + config.EPS
 
 
 def shapes_edge_disjoint(m: MetricSpace, a: Shape, b: Shape) -> bool:

@@ -12,7 +12,9 @@ closure built through the complete graph's edge list, the scalar
 push-form exact oracles, and the ``json.dumps`` instance writer, kept
 as they were before the library versions were simplified or sped up.
 They are references for byte and trace equality (ties and visit
-orders), not independent routes.
+orders), not independent routes.  ``perforation_gap_bound_check`` also
+reads the library's measures: it checks the perforation-difference bound
+between them, not their values.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from metricserve import config
 from metricserve.instance import Instance
 from metricserve.metric import (
     Ball,
+    EdgeSet,
     MetricSpace,
     PerforatedBall,
     WeightedGraph,
     build_metric,
     edge_intervals_in_shape,
+    shape_edge_measure,
 )
 from metricserve.offline_oracle import OptEvent, OptTrace
 from metricserve.walks import expand_hops, walk_cost
@@ -113,6 +117,15 @@ def ball_buries_an_edge(m: MetricSpace, v: int, r: float) -> bool:
         if du <= r and dx <= r and (r - du) + (r - dx) < w - 1e-9:
             return True
     return False
+
+
+def perforation_gap_bound_check(
+    m: MetricSpace, edges: EdgeSet, v: int, r: float, rho: float
+) -> bool:
+    """measure(ball) <= measure(perforated ball) + 2 r n^2 / rho."""
+    ball = shape_edge_measure(m, edges, Ball(v, r))
+    perf = shape_edge_measure(m, edges, PerforatedBall(v, r, rho))
+    return ball <= perf + 2.0 * r * m.n**2 / rho + config.EPS
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ from metricserve.instance import (
 from metricserve.levels import ceil_log2
 from metricserve.metric import build_metric
 from metricserve.offline_oracle import opt_deadline, opt_delay
-from metricserve.steiner import pcst_approx, pcst_exact, steiner_approx, steiner_exact
+from metricserve.steiner import pcst_approx, steiner_approx
 
 from conftest import random_graph
+from exact import pcst_exact, steiner_exact
 from audits import audit_delay_trace, replay_no_supercritical
 from oracles import opt_deadline_bruteforce, opt_delay_exhaustive
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,7 @@ from metricserve.instance import (
     DelayFunction,
     generate,
     investment_star,
+    parse_instance,
     serialize_instance,
     write_doc,
 )
@@ -205,11 +207,15 @@ def test_report_glob_empty_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["run", "opt", "verify"])
-def test_disconnected_graph_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,nodes", [
+    # 10**12 nodes: reachability is checked before the n x n distance matrix
+    pytest.param(command, nodes, id=command if nodes == 3 else f"{command}-1e12-nodes")
+    for nodes in (3, 10**12) for command in ("run", "opt", "verify")
+])
+def test_disconnected_graph_exit_2(tmp_path, capsys, command, nodes):
     inst = tmp_path / "split.json"
     inst.write_text(json.dumps({
-        "graph": {"nodes": 3, "edges": [[0, 1, 1.0]]},
+        "graph": {"nodes": nodes, "edges": [[0, 1, 1.0]]},
         "server_start": 0,
         "mode": "deadline",
         "requests": [{"id": 0, "point": 2, "release": 0.0, "deadline": 1.0}],
@@ -450,9 +456,22 @@ def _tiny_delay():
     ))
 
 
+def _overflowing_crossing():
+    """One request whose delay grows from 0 at slope 1e-310: the time its
+    residual crosses a threshold overflows to inf, and so does the total
+    residual there."""
+    return parse_instance(json.dumps({
+        "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+        "server_start": 0,
+        "mode": "delay",
+        "requests": [{"id": 0, "point": 1, "release": 0.0,
+                      "delay": {"breakpoints": [[0.0, 0.0]], "final_slope": 1e-310}}],
+    }))
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "report"])
 @pytest.mark.parametrize("build", [_huge_slopes, _alternating_releases, _shifted_star,
-                                   _huge_weights, _tiny_delay])
+                                   _huge_weights, _tiny_delay, _overflowing_crossing])
 def test_out_of_range_delay_instance_exit_2(tmp_path, capsys, command, build):
     """Numbers the engines' absolute tolerances cannot resolve are an input
     error, not a traceback, in either mode: ``_huge_weights`` is a
@@ -497,6 +516,39 @@ def test_tiny_deadline_instance_runs_and_verify_exits_2(tmp_path, capsys):
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "metricserve.cli",
          "verify", "--instance", str(path)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "outside the numeric range the engine resolves" in proc.stderr
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.parametrize("command", ["run", "opt", "verify"])
+def test_sub_ulp_edge_exit_2(tmp_path, command):
+    """An edge weight below an ulp of the remaining distance leaves that
+    distance unchanged, so a shortest-path walk can cross the edge back and
+    forth forever.  Each command runs in a subprocess under a timeout and a
+    2 GiB address-space cap, so a walk that never ends fails the test fast
+    instead of filling memory."""
+    path = tmp_path / "sub_ulp.json"
+    path.write_text(json.dumps({
+        "graph": {"nodes": 3, "edges": [[0, 1, 5e-324], [1, 2, 1.0]]},
+        "server_start": 0,
+        "mode": "deadline",
+        "requests": [{"id": 0, "point": 1, "release": 0.0, "deadline": 1.0},
+                     {"id": 1, "point": 2, "release": 0.0, "deadline": 2.0}],
+    }))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metricserve.cli", command, "--instance", str(path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -19,7 +19,6 @@ from metricserve.metric import (
     build_metric,
     complete_graph_on,
     edge_intervals_in_shape,
-    perforation_gap_bound_check,
     shape_edge_measure,
     shapes_edge_disjoint,
 )
@@ -32,6 +31,7 @@ from oracles import (
     floyd_distances,
     interval_ball_measure,
     perforated_claim_reference,
+    perforation_gap_bound_check,
     relax_reference,
 )
 

@@ -8,19 +8,11 @@ import pytest
 
 from metricserve import config
 from metricserve.metric import WeightedGraph, build_metric, complete_graph_on
-from metricserve.steiner import (
-    PcstSolution,
-    TerminalCapError,
-    certificate_margin,
-    infinite_penalty,
-    pcst_approx,
-    pcst_exact,
-    steiner_approx,
-    steiner_exact,
-)
+from metricserve.steiner import PcstSolution, certificate_margin, pcst_approx, steiner_approx
 from metricserve.walks import tree_adjacency
 
 from conftest import random_graph
+from exact import TerminalCapError, infinite_penalty, pcst_exact, steiner_exact
 from oracles import pcst_enumeration, shortest_path_reference, steiner_enumeration
 
 
