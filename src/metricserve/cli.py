@@ -5,7 +5,8 @@ Every command prints a JSON summary on standard output.  Exit codes:
 (including unreadable or malformed instance documents, disconnected
 graphs, instances outside the numeric range the engines resolve,
 instances past the exact oracle's request cap in ``opt`` and ``verify``,
-output paths that cannot be written and a NaN ``--horizon``).
+output paths that cannot be written and a NaN ``--horizon`` given to
+``run``).  ``verify`` takes no ``--horizon``: it checks a whole run.
 An input error prints one ``error:`` line and writes no output file.
 """
 
@@ -143,7 +144,7 @@ def _cmd_opt(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    trace = _run_trace(inst, args.request_regime, args.horizon)
+    trace = _run_trace(inst, args.request_regime, horizon=None)
     opt = _opt_trace(inst)
     report = charge_report(inst, trace, opt)
     failures = [c.to_doc() for c in report.failures()]
@@ -271,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="engine + oracle + full structural checks")
     p.add_argument("--instance", required=True)
     p.add_argument("--request-regime", action="store_true")
-    p.add_argument("--horizon", type=float, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="batch costs/ratios over a glob of instances")

@@ -18,12 +18,9 @@ most twice the tree over every eligible request.  When that bound plus
 a rounding margin (``steiner.certificate_margin``) stays under the
 budget, the service serves every eligible request along the tree over
 all of them, which is what the growth loop would have ended with.
-Otherwise each growth step hands the previous step's tree to
-``steiner_approx`` as ``grow_from``, so a step only adds the new
-terminal's closure edges to the carried closure MST; the trees, and so
-the traces, are exactly those of solving every step from scratch (see
-``steiner``).  Shortest-path expansions are memoised on the metric and
-live as long as it does.
+Otherwise the loop solves each prefix with one ``steiner_approx`` call.
+Shortest-path expansions are memoised on the metric and live as long as
+it does.
 
 The walk rule fixes what the tour leaves open: start -> trigger, DFS of
 the tree from the trigger with children by ascending node id, back to
@@ -58,12 +55,12 @@ class DeadlineEngine(EngineCore):
 
         Certificate.  Let ``full`` be ``steiner_approx`` over the points of
         every eligible request, and P any prefix of them in deadline
-        order.  The growth loop's tree over P is the batch tree over P
-        (see ``steiner``): the metric-closure MST over P, each edge
-        expanded into a shortest path, the union deduplicated by Kruskal
-        and leaf-pruned.  The closure MST costs at most 2 * OPT(P) (Kou,
-        Markowsky and Berman 1981), OPT(P) <= OPT(eligible) since a tree
-        over all of them spans P, and OPT(eligible) <= ``full.cost``.  The
+        order.  The growth loop's tree over P is ``steiner_approx`` over
+        P: the metric-closure MST over P, each edge expanded into a
+        shortest path, the union deduplicated by Kruskal and leaf-pruned.
+        The closure MST costs at most 2 * OPT(P) (Kou, Markowsky and
+        Berman 1981), OPT(P) <= OPT(eligible) since a tree over all of
+        them spans P, and OPT(eligible) <= ``full.cost``.  The
         margin ``certificate_margin(len(eligible), space.n, budget)``
         covers the three ways the code departs from that argument:
 
@@ -105,11 +102,10 @@ class DeadlineEngine(EngineCore):
         if 2.0 * tree.cost >= budget - config.EPS - margin:
             chosen = []
             terminals: set[int] = set()
-            tree = None
             for rid in eligible:
                 chosen.append(rid)
                 terminals.add(space.index[self.requests[rid].point])
-                tree = steiner_approx(space, terminals, grow_from=tree)
+                tree = steiner_approx(space, terminals)
                 if tree.cost >= budget - config.EPS:
                     break
 

@@ -4,8 +4,7 @@ One polynomial constant-factor approximation for each problem, the route
 the online engines take:
 
 - ``steiner_approx``: metric-closure MST expanded through shortest paths
-  (the classic 2-approximation), optionally grown from an earlier
-  solution over fewer terminals.
+  (the classic 2-approximation).
 - ``pcst_approx``: primal-dual moat growth with strong pruning
   (Goemans-Williamson style; factor 2, well inside the required 3).
 
@@ -17,28 +16,18 @@ equal weights by node ids, shortest paths prefer the lowest-id neighbour,
 and ``pcst_approx`` keeps the first event in its scan order unless a later
 one is smaller by more than ``1e-15``.
 
-Growing a Steiner tree
-----------------------
-The deadline engine adds terminals one at a time and needs the tree
-after each step.  A ``SteinerSolution`` from ``steiner_approx`` keeps its
-terminals and its closure-MST edges, and ``steiner_approx(m, T,
-grow_from=s)`` with ``s.terminals`` a subset of ``T`` runs Kruskal only
-over ``s``'s closure-MST edges plus the closure edges of the new
-terminals, read as one row of ``m.dist`` each.  This is exact, not an
-approximation of the batch result: Kruskal orders edges by the strict key
-``(w, u, v)``, so the MST is unique, and by the cycle property every
-closure edge between old terminals that is not in the old MST is the
-largest key on a cycle of old edges, so it is not in the new MST either.
-A call with nothing to grow from runs Prim instead: O(k^2) compares over
-k terminals, and no edge list, sort or union-find.  Under the same strict
-key, each weight read from ``m.dist[max id, min id]`` as Kruskal over the
-whole closure reads it, Prim finds the same unique MST, and sorted by the
-key its edges are in Kruskal's acceptance order, which growth consumes.
-The rest of a step is cheap as well: ``MetricSpace.path_edges`` memoises
-each shortest-path expansion, a union of paths with one edge fewer than
-nodes is already the tree the second Kruskal would return, and leaf
-pruning is one queue pass that keeps list order, so costs are summed in
-the same order as before.
+One closure MST
+---------------
+``steiner_approx`` builds its closure MST by Prim: O(k^2) compares over
+k terminals, and no edge list, sort or union-find.  Prim compares edges
+by the strict key ``(w, min id, max id)``, each weight read from
+``m.dist[max id, min id]``; no two edges share a key, so the MST is
+unique, and Prim finds the same one as Kruskal over the whole closure.
+The rest of a solve is cheap as well: ``MetricSpace.path_edges``
+memoises each shortest-path expansion, a union of paths with one edge
+fewer than nodes is already the tree the second Kruskal would return,
+and leaf pruning is one queue pass that keeps list order, so costs are
+summed in a fixed order.
 
 One scan per moat event
 -----------------------
@@ -79,8 +68,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
 
 from . import config
 from .metric import EdgeSet, MetricSpace
@@ -101,9 +89,6 @@ WeightedEdge = tuple[float, int, int]  # (weight, min id, max id)
 class SteinerSolution:
     tree_edges: EdgeSet
     cost: float
-    # what steiner_approx needs to grow this solution by more terminals
-    terminals: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
-    closure_mst: tuple[WeightedEdge, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -157,7 +142,7 @@ def _kruskal(nodes: set[int], candidates) -> list[WeightedEdge] | None:
 
 def _prim(m: MetricSpace, terminals: list[int]) -> list[WeightedEdge]:
     """Closure MST over the sorted terminals by Prim under Kruskal's strict
-    key, in Kruskal's acceptance order (see the module docstring)."""
+    key (see the module docstring)."""
     view = m.dist_view
     root, *rest = terminals
     # best[j]: the least key joining rest[j] to the tree
@@ -171,7 +156,7 @@ def _prim(m: MetricSpace, terminals: list[int]) -> list[WeightedEdge]:
             key = (view[x, t], t, x) if t < x else (view[t, x], x, t)
             if key < best[j]:
                 best[j] = key
-    return sorted(mst)
+    return mst
 
 
 def _prune_leaves(edges: list[WeightedEdge], keep: set[int]) -> list[WeightedEdge]:
@@ -222,11 +207,10 @@ def _tree_from_paths(union: set[WeightedEdge], keep: set[int]) -> list[WeightedE
     return _prune_leaves(mst, keep)
 
 
-def _solution(tree: list[WeightedEdge], **extra) -> SteinerSolution:
+def _solution(tree: list[WeightedEdge]) -> SteinerSolution:
     return SteinerSolution(
         tree_edges=frozenset([(u, v) for _, u, v in tree]),
         cost=sum([w for w, _, _ in tree]),
-        **extra,
     )
 
 
@@ -235,47 +219,18 @@ def _solution(tree: list[WeightedEdge], **extra) -> SteinerSolution:
 # ---------------------------------------------------------------------------
 
 
-def steiner_approx(
-    m: MetricSpace, terminals, grow_from: SteinerSolution | None = None
-) -> SteinerSolution:
-    """Closure MST over the terminals, expanded through shortest paths,
-    deduplicated into a tree and leaf-pruned.
-
-    ``grow_from`` is an earlier solution in the same metric.  When its
-    terminals are a nonempty subset of these, Kruskal only looks at its
-    closure-MST edges and the new terminals' closure edges; otherwise,
-    and without it, Prim runs over the whole closure.  Both give the same
-    tree (see the module docstring).
-    """
+def steiner_approx(m: MetricSpace, terminals) -> SteinerSolution:
+    """Closure MST over the terminals by Prim, expanded through shortest
+    paths, deduplicated into a tree and leaf-pruned."""
     terminals = frozenset(terminals)
     if not terminals:
         raise ValueError("terminal set must be nonempty")
-    old = grow_from.terminals if grow_from is not None else frozenset()
-    if old == terminals:
-        return grow_from
     if len(terminals) == 1:
-        return SteinerSolution(frozenset(), 0.0, terminals=terminals)
-    if not old or not old <= terminals:
-        closure_mst = _prim(m, sorted(terminals))
-    else:
-        known = sorted(old)
-        candidates = list(grow_from.closure_mst)
-        for t in sorted(terminals - old):
-            # closure edges from t to the terminals placed so far: one row slice
-            ws = m.dist[t, known].tolist()
-            i = bisect.bisect(known, t)
-            candidates += zip(ws[:i], known[:i], repeat(t))
-            candidates += zip(ws[i:], repeat(t), known[i:])
-            known.insert(i, t)
-        closure_mst = _kruskal(terminals, candidates)
+        return SteinerSolution(frozenset(), 0.0)
     union: set[WeightedEdge] = set()
-    for _, u, v in closure_mst:
+    for _, u, v in _prim(m, sorted(terminals)):
         union.update(m.path_edges(u, v))
-    return _solution(
-        _tree_from_paths(union, terminals),
-        terminals=terminals,
-        closure_mst=tuple(closure_mst),
-    )
+    return _solution(_tree_from_paths(union, terminals))
 
 
 # ---------------------------------------------------------------------------

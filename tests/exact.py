@@ -49,7 +49,7 @@ class _DreyfusWagner:
     mask: first the best split of the mask at each node, then one
     relaxation through the metric closure (exact because distances are a
     metric).  ``split_from[mask][v]`` stores the chosen sub-mask and
-    ``grow_from[mask][v]`` the relaxation predecessor for reconstruction.
+    ``relax_from[mask][v]`` the relaxation predecessor for reconstruction.
     """
 
     def __init__(self, m: MetricSpace, terminals: list[int]):
@@ -60,10 +60,10 @@ class _DreyfusWagner:
         full = 1 << k
         self.cost = np.full((full, n), np.inf)
         self.split_from = np.zeros((full, n), dtype=np.int64)
-        self.grow_from = np.zeros((full, n), dtype=np.int64)
+        self.relax_from = np.zeros((full, n), dtype=np.int64)
         for i, t in enumerate(terminals):
             self.cost[1 << i] = dist[t]
-            self.grow_from[1 << i] = np.arange(n)
+            self.relax_from[1 << i] = np.arange(n)
         for mask in range(1, full):
             if mask & (mask - 1) == 0:
                 continue
@@ -80,14 +80,14 @@ class _DreyfusWagner:
                 sub = (sub - 1) & mask
             totals = split_cost[:, None] + dist
             self.cost[mask] = totals.min(axis=0)
-            self.grow_from[mask] = totals.argmin(axis=0)
+            self.relax_from[mask] = totals.argmin(axis=0)
             self.split_from[mask] = split_pick
 
     def collect_edges(self, mask: int, v: int, out: set[WeightedEdge]) -> None:
         if mask & (mask - 1) == 0:
             out.update(self.m.path_edges(v, self.terminals[mask.bit_length() - 1]))
             return
-        u = int(self.grow_from[mask][v])
+        u = int(self.relax_from[mask][v])
         out.update(self.m.path_edges(v, u))
         sub = int(self.split_from[mask][u])
         self.collect_edges(sub, u, out)

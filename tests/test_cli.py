@@ -397,12 +397,22 @@ def test_unwritable_output_exit_2(tmp_path, capsys, small_instance, command):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("command", ["run"])
 def test_nan_horizon_exit_2(capsys, small_instance, command):
     """A NaN horizon stops a delay run before any service; it must not
-    pass as an empty run or a verified one."""
+    pass as an empty run."""
     _input_error(capsys, [command, "--instance", str(small_instance), "--horizon", "nan"],
                  "--horizon")
+
+
+def test_verify_takes_no_horizon(capsys, small_instance):
+    """A horizon could stop the run ``verify`` checks against the full
+    optimum, so ``verify`` has no ``--horizon``: argparse rejects it with
+    exit 2 and no summary."""
+    assert main(["verify", "--instance", str(small_instance), "--horizon", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--horizon" in captured.err
 
 
 def _huge_slopes():

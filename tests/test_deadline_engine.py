@@ -273,9 +273,9 @@ def test_traces_unchanged_with_steiner_certificate_off(monkeypatch):
 
     calls = [0]
 
-    def counted(space, terminals, grow_from=None):
+    def counted(space, terminals):
         calls[0] += 1
-        return steiner_approx(space, terminals, grow_from=grow_from)
+        return steiner_approx(space, terminals)
 
     monkeypatch.setattr(engine_module, "steiner_approx", counted)
     rng = random.Random(1212)
@@ -323,8 +323,8 @@ def test_certified_service_makes_one_steiner_call(monkeypatch):
         decisions[-1]["record"] = real_upon(self, qid)
         return decisions[-1]["record"]
 
-    def counted(space, terminals, grow_from=None):
-        solution = steiner_approx(space, terminals, grow_from=grow_from)
+    def counted(space, terminals):
+        solution = steiner_approx(space, terminals)
         decisions[-1]["costs"].append(solution.cost)
         return solution
 

@@ -635,75 +635,41 @@ def test_prune_leaves_matches_reference_order():
         assert [(u, v) for _, u, v in got] == want
 
 
-def test_steiner_approx_growth_matches_batch_reference():
-    """Growing one terminal at a time (repeats included) gives, at every
-    step, exactly the batch reference's tree and cost, on 320 cases:
-    integer-weight graphs (exact ties), tenths, random weights and metric
-    closures.  Every fifth step grows from a solution whose terminals are
-    not a subset, which must fall back to the full closure."""
-    rng = random.Random(67)
-    for i in range(320):
-        n = rng.randint(2, 30)
-        kind = i % 4
-        if kind == 0:
-            m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(n),
-                                          weight_range=(1, 3), integer_weights=True))
-        elif kind == 1:
-            g = random_graph(rng, n, extra_edges=rng.randrange(n), weight_range=(1, 9),
-                             integer_weights=True)
-            m = build_metric(replace(g, edges=tuple((u, v, w / 10) for u, v, w in g.edges)))
-        elif kind == 2:
-            m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(n)))
-        else:
-            base = build_metric(random_graph(rng, n + 4, extra_edges=rng.randrange(4),
-                                             weight_range=(1, 4), integer_weights=True))
-            m = complete_graph_on(base, rng.sample(range(n + 4), n))
-        order = [rng.randrange(n) for _ in range(rng.randint(1, n + 5))]
-        terminals = set()
-        tree = None
-        for step, t in enumerate(order):
-            terminals.add(t)
-            if step % 5 == 4:
-                stranger = set(rng.sample(range(n), rng.randint(1, n))) - terminals
-                tree = steiner_approx(m, stranger | {t}) if stranger else tree
-            tree = steiner_approx(m, terminals, grow_from=tree)
-            want_edges, want_cost = _reference_steiner_approx(m, terminals)
-            assert (tree.tree_edges, tree.cost) == (want_edges, want_cost), (i, step)
-            assert steiner_approx(m, terminals) == tree, (i, step)
-
-
-def test_closure_mst_from_scratch_is_kruskal_acceptance_order():
-    """A solve with nothing to grow from builds its closure MST by Prim; it
-    must be Kruskal's over the whole closure, edge for edge and in
-    acceptance order, and growing from it must give the batch tree.  320
-    seeded spaces of up to 60 nodes and 40 terminals: integer weights
-    (exact ties), tenths, random floats and metric closures."""
-    rng = random.Random(83)
-    for i in range(320):
-        n = rng.randint(2, 60)
-        kind = i % 4
-        if kind == 0:
-            m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(2 * n),
-                                          weight_range=(1, 3), integer_weights=True))
-        elif kind == 1:
-            g = random_graph(rng, n, extra_edges=rng.randrange(2 * n), weight_range=(1, 9),
-                             integer_weights=True)
-            m = build_metric(replace(g, edges=tuple((u, v, w / 10) for u, v, w in g.edges)))
-        elif kind == 2:
-            m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(2 * n)))
-        else:
-            base = build_metric(random_graph(rng, n + 4, extra_edges=rng.randrange(4),
-                                             weight_range=(1, 4), integer_weights=True))
-            m = complete_graph_on(base, rng.sample(range(n + 4), n))
-        terminals = set(rng.sample(range(n), rng.randint(2, min(n, 40))))
-        pts = sorted(terminals)
-        closure = [(m.distance(a, b), a, b) for j, a in enumerate(pts) for b in pts[j + 1:]]
-        want = tuple((m.distance(a, b), a, b) for a, b in _reference_kruskal(terminals, closure))
-        solution = steiner_approx(m, terminals)
-        assert solution.closure_mst == want, i
-        more = terminals | set(rng.sample(range(n), rng.randint(1, n)))
-        grown = steiner_approx(m, more, grow_from=solution)
-        assert (grown.tree_edges, grown.cost) == _reference_steiner_approx(m, more), i
+def test_steiner_approx_matches_batch_reference():
+    """Prim's closure MST expands into exactly the tree and cost of the
+    reference, which runs Kruskal over the whole closure, on 640 seeded
+    spaces: 320 of up to 30 nodes with as many terminals, repeats
+    included, and 320 of up to 60 nodes with up to 40 terminals.  Each
+    family mixes integer weights (exact ties), tenths, random floats and
+    metric closures."""
+    for seed, max_n, pick in ((67, 30, "order"), (83, 60, "sample")):
+        rng = random.Random(seed)
+        for i in range(320):
+            n = rng.randint(2, max_n)
+            extra = n if pick == "order" else 2 * n
+            kind = i % 4
+            if kind == 0:
+                m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(extra),
+                                              weight_range=(1, 3), integer_weights=True))
+            elif kind == 1:
+                g = random_graph(rng, n, extra_edges=rng.randrange(extra), weight_range=(1, 9),
+                                 integer_weights=True)
+                m = build_metric(replace(g, edges=tuple((u, v, w / 10) for u, v, w in g.edges)))
+            elif kind == 2:
+                m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(extra)))
+            else:
+                base = build_metric(random_graph(rng, n + 4, extra_edges=rng.randrange(4),
+                                                 weight_range=(1, 4), integer_weights=True))
+                m = complete_graph_on(base, rng.sample(range(n + 4), n))
+            if pick == "order":
+                order = [rng.randrange(n) for _ in range(rng.randint(1, n + 5))]
+                prefixes = [set(order[:j]) for j in range(1, len(order) + 1)]
+            else:
+                prefixes = [set(rng.sample(range(n), rng.randint(2, min(n, 40))))]
+            for step, terminals in enumerate(prefixes):
+                tree = steiner_approx(m, terminals)
+                want = _reference_steiner_approx(m, terminals)
+                assert (tree.tree_edges, tree.cost) == want, (seed, i, step)
 
 
 def test_steiner_approx_prefix_within_twice_full_plus_engine_margin():
