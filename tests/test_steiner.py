@@ -635,41 +635,64 @@ def test_prune_leaves_matches_reference_order():
         assert [(u, v) for _, u, v in got] == want
 
 
-def test_steiner_approx_matches_batch_reference():
-    """Prim's closure MST expands into exactly the tree and cost of the
-    reference, which runs Kruskal over the whole closure, on 640 seeded
-    spaces: 320 of up to 30 nodes with as many terminals, repeats
-    included, and 320 of up to 60 nodes with up to 40 terminals.  Each
-    family mixes integer weights (exact ties), tenths, random floats and
-    metric closures."""
-    for seed, max_n, pick in ((67, 30, "order"), (83, 60, "sample")):
-        rng = random.Random(seed)
-        for i in range(320):
-            n = rng.randint(2, max_n)
-            extra = n if pick == "order" else 2 * n
-            kind = i % 4
-            if kind == 0:
-                m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(extra),
-                                              weight_range=(1, 3), integer_weights=True))
-            elif kind == 1:
-                g = random_graph(rng, n, extra_edges=rng.randrange(extra), weight_range=(1, 9),
-                                 integer_weights=True)
-                m = build_metric(replace(g, edges=tuple((u, v, w / 10) for u, v, w in g.edges)))
-            elif kind == 2:
-                m = build_metric(random_graph(rng, n, extra_edges=rng.randrange(extra)))
-            else:
-                base = build_metric(random_graph(rng, n + 4, extra_edges=rng.randrange(4),
-                                                 weight_range=(1, 4), integer_weights=True))
-                m = complete_graph_on(base, rng.sample(range(n + 4), n))
-            if pick == "order":
-                order = [rng.randrange(n) for _ in range(rng.randint(1, n + 5))]
-                prefixes = [set(order[:j]) for j in range(1, len(order) + 1)]
-            else:
-                prefixes = [set(rng.sample(range(n), rng.randint(2, min(n, 40))))]
-            for step, terminals in enumerate(prefixes):
-                tree = steiner_approx(m, terminals)
-                want = _reference_steiner_approx(m, terminals)
-                assert (tree.tree_edges, tree.cost) == want, (seed, i, step)
+def _seeded_metric(rng, i, n, extra):
+    """One of four weight families by ``i % 4``: integer weights (exact
+    ties), tenths, random floats and metric closures."""
+    kind = i % 4
+    if kind == 0:
+        return build_metric(random_graph(rng, n, extra_edges=rng.randrange(extra),
+                                         weight_range=(1, 3), integer_weights=True))
+    if kind == 1:
+        g = random_graph(rng, n, extra_edges=rng.randrange(extra), weight_range=(1, 9),
+                         integer_weights=True)
+        return build_metric(replace(g, edges=tuple((u, v, w / 10) for u, v, w in g.edges)))
+    if kind == 2:
+        return build_metric(random_graph(rng, n, extra_edges=rng.randrange(extra)))
+    base = build_metric(random_graph(rng, n + 4, extra_edges=rng.randrange(4),
+                                     weight_range=(1, 4), integer_weights=True))
+    return complete_graph_on(base, rng.sample(range(n + 4), n))
+
+
+def test_steiner_approx_growth_matches_batch_reference():
+    """Solving every prefix of a terminal order (repeats included), as the
+    deadline engine's uncertified loop grows its tree, gives at each step
+    exactly the tree and cost of the reference, which runs Kruskal over the
+    whole closure, on 320 seeded spaces of up to 30 nodes: integer weights
+    (exact ties), tenths, random floats and metric closures."""
+    rng = random.Random(67)
+    for i in range(320):
+        n = rng.randint(2, 30)
+        m = _seeded_metric(rng, i, n, n)
+        order = [rng.randrange(n) for _ in range(rng.randint(1, n + 5))]
+        for step in range(1, len(order) + 1):
+            terminals = set(order[:step])
+            tree = steiner_approx(m, terminals)
+            assert (tree.tree_edges, tree.cost) == _reference_steiner_approx(m, terminals), (i, step)
+
+
+def test_closure_mst_from_scratch_is_kruskal_acceptance_order():
+    """Prim's closure MST over the sorted terminals is Kruskal's over the
+    whole closure, edge for edge once put in acceptance order, and
+    ``steiner_approx`` expands it into the reference's tree and cost, for
+    that terminal set and for a superset.  320 seeded spaces of up to 60
+    nodes and 40 terminals: integer weights (exact ties), tenths, random
+    floats and metric closures."""
+    from metricserve.steiner import _prim
+
+    rng = random.Random(83)
+    for i in range(320):
+        n = rng.randint(2, 60)
+        m = _seeded_metric(rng, i, n, 2 * n)
+        terminals = set(rng.sample(range(n), rng.randint(2, min(n, 40))))
+        pts = sorted(terminals)
+        closure = [(m.distance(a, b), a, b) for j, a in enumerate(pts) for b in pts[j + 1:]]
+        want = [(m.distance(a, b), a, b) for a, b in _reference_kruskal(terminals, closure)]
+        assert sorted(_prim(m, pts)) == want, i
+        solution = steiner_approx(m, terminals)
+        assert (solution.tree_edges, solution.cost) == _reference_steiner_approx(m, terminals), i
+        more = terminals | set(rng.sample(range(n), rng.randint(1, n)))
+        grown = steiner_approx(m, more)
+        assert (grown.tree_edges, grown.cost) == _reference_steiner_approx(m, more), i
 
 
 def test_steiner_approx_prefix_within_twice_full_plus_engine_margin():
